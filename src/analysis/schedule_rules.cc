@@ -13,46 +13,7 @@ std::string NodeName(const JobGraph& graph, NodeId id) {
                           : node.op->name();
 }
 
-/// Threads the legacy path spawns: one per source node, one per
-/// (chain, subtask instance) — the chain head's parallelism decides the
-/// subtask count for the whole chain.
-int LegacyThreadCount(const JobGraph& graph, const ChainLayout& layout) {
-  int threads = 0;
-  for (NodeId id = 0; id < graph.num_nodes(); ++id) {
-    if (graph.node(id).is_source()) ++threads;
-  }
-  for (const std::vector<NodeId>& chain : layout.chains) {
-    threads += graph.parallelism(chain.front());
-  }
-  return threads;
-}
-
-int ResolveHardwareThreads(int hardware_threads) {
-  if (hardware_threads > 0) return hardware_threads;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
-}
-
 }  // namespace
-
-DiagnosticReport AnalyzeSchedule(const JobGraph& graph, bool chaining_enabled,
-                                 bool use_task_scheduler,
-                                 int hardware_threads) {
-  DiagnosticReport report;
-  if (use_task_scheduler) return report;
-  const ChainLayout layout = ComputeChainLayout(graph, chaining_enabled);
-  const int threads = LegacyThreadCount(graph, layout);
-  const int cores = ResolveHardwareThreads(hardware_threads);
-  if (threads <= cores) return report;
-  report.Add(DiagnosticCode::kGraphScheduleOversubscribed, "job graph",
-             "legacy thread-per-subtask execution spawns " +
-                 std::to_string(threads) + " threads on " +
-                 std::to_string(cores) +
-                 " hardware threads; enable the task scheduler to multiplex " +
-                 std::to_string(threads) + " tasks onto a pool of " +
-                 std::to_string(cores) + " workers");
-  return report;
-}
 
 std::string ScheduleToString(const JobGraph& graph, bool chaining_enabled,
                              int worker_threads) {
@@ -78,10 +39,10 @@ std::string ScheduleToString(const JobGraph& graph, bool chaining_enabled,
       out += "\n";
     }
   }
-  const int workers = ResolveHardwareThreads(worker_threads);
+  const int hw = static_cast<int>(std::thread::hardware_concurrency());
+  const int workers = worker_threads > 0 ? worker_threads : hw > 0 ? hw : 1;
   out += "  tasks: " + std::to_string(task) + ", worker pool: " +
-         std::to_string(workers) + ", legacy threads: " +
-         std::to_string(LegacyThreadCount(graph, layout)) + "\n";
+         std::to_string(workers) + "\n";
   return out;
 }
 

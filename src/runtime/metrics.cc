@@ -114,7 +114,7 @@ double SchedulerStats::quantum_utilization() const {
 }
 
 std::string SchedulerStats::ToString() const {
-  if (!used) return "scheduler: legacy thread-per-subtask";
+  if (!used) return "scheduler: not used";
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "scheduler: workers=%d tasks=%d quanta=%lld steals=%lld "

@@ -97,10 +97,11 @@ struct PartitionSkew {
 };
 
 /// \brief Counters of the task-based scheduler runtime: how the fixed
-/// worker pool multiplexed the (chain, subtask) operator tasks. Present in
-/// ExecutionResult when ThreadedExecutorOptions::use_task_scheduler ran
-/// the job (used == true); all-zero with used == false under the legacy
-/// thread-per-subtask path.
+/// worker pool multiplexed the (chain, subtask) operator tasks. Every
+/// ThreadedExecutor run that got past the pre-run lint fills them in
+/// (used == true). `used` is false, and everything else zero, only when
+/// Run refused the graph before scheduling (an E-level finding) or the
+/// result came from the single-threaded PipelineExecutor.
 struct SchedulerStats {
   bool used = false;
   int worker_threads = 0;    // fixed pool size the job ran on
@@ -163,7 +164,7 @@ struct ExecutionResult {
   std::vector<PartitionSkew> partition_skew;
 
   /// Worker-pool counters of the task-based scheduler (threaded executor
-  /// with use_task_scheduler; `scheduler.used` is false otherwise).
+  /// only; see SchedulerStats::used).
   SchedulerStats scheduler;
 
   /// Findings of the pre-run job-graph lint pass (analysis/graph_rules.h).

@@ -34,30 +34,14 @@ struct ThreadedExecutorOptions {
   /// when disabled). Off is only interesting for ablation benchmarks.
   bool enable_spsc = true;
 
-  /// Latency bound for source-side batching: when filling the previous
-  /// batch took longer than this, the source halves its staging size (down
-  /// to 1) so slow/rate-limited sources do not sit on tuples; fast sources
-  /// grow back to `batch_size`. 0 disables the adaptation (always stage
-  /// full batches).
-  Timestamp source_flush_timeout_millis = 2;
-
   /// Fuse forward-edge operator chains into single subtasks (see
-  /// ComputeChainLayout for the chain rules). Off reproduces the
-  /// historical one-thread-per-(node, subtask) layout with a real exchange
-  /// channel on every edge; only interesting for A/B benchmarks and
-  /// debugging.
+  /// ComputeChainLayout for the chain rules). Off gives every (node,
+  /// subtask) its own task with a real exchange channel on every edge;
+  /// only interesting for A/B benchmarks and debugging.
   bool enable_chaining = true;
 
-  /// Run (chain, subtask) units as cooperative tasks on a fixed worker
-  /// pool (TaskScheduler) instead of one OS thread each. Parallelism then
-  /// stops costing threads: P=4 on a 2-core host multiplexes 4 tasks over
-  /// 2 workers with credit-based backpressure instead of oversubscribing
-  /// 4+ blocking threads. Off selects the legacy thread-per-subtask path,
-  /// kept for A/B comparison.
-  bool use_task_scheduler = true;
-
   /// Worker pool size for the task scheduler; 0 means
-  /// std::thread::hardware_concurrency(). Ignored by the legacy path.
+  /// std::thread::hardware_concurrency().
   int worker_threads = 0;
 
   /// Input batches one task may process before yielding the worker
@@ -83,8 +67,9 @@ struct ThreadedExecutorOptions {
   Clock* clock = nullptr;
 };
 
-/// \brief Executor running each physical task — one per (node, subtask
-/// instance) — on its own thread, connected by micro-batched exchange
+/// \brief Executor running the physical units of a job graph — every
+/// source and every (chain, subtask instance) — as cooperative tasks on a
+/// fixed TaskScheduler worker pool, connected by micro-batched exchange
 /// channels.
 ///
 /// This realizes both kinds of parallelism the paper's mapping unlocks:
@@ -99,8 +84,7 @@ struct ThreadedExecutorOptions {
 /// to every consumer subtask; each consumer min-aligns watermarks and
 /// counts end markers across its physical slots (one per producer
 /// subtask), so window firing and termination are exact under
-/// partitioning. With parallelism 1 everywhere this reduces to the
-/// historical one-thread-per-node behavior.
+/// partitioning.
 ///
 /// Operator chaining (on by default) collapses runs of fused forward
 /// edges into one subtask per chain: tuples inside a chain are handed to
@@ -120,15 +104,13 @@ struct ThreadedExecutorOptions {
 /// produce identical match sets at every parallelism level, chain on and
 /// off.
 ///
-/// By default (use_task_scheduler) the physical units do not own OS
-/// threads: each source and each (chain, subtask) becomes a cooperative
-/// task multiplexed onto a fixed TaskScheduler worker pool sized to the
-/// hardware. Tasks process a bounded quantum of input batches and yield; a
-/// full output channel parks the producing task on a credit (non-blocking
+/// No physical unit owns an OS thread. Parallelism therefore costs tasks,
+/// not threads: P=4 on a 2-core host multiplexes 4 tasks over 2 workers.
+/// Tasks process a bounded quantum of input batches and yield; a full
+/// output channel parks the producing task on a credit (non-blocking
 /// TryPushBatch) and the consumer's pop wakes it, so backpressure never
-/// wastes a worker thread. SchedulerStats in the result expose per-worker
-/// task runs, steals, parks and quantum utilization. use_task_scheduler =
-/// false restores the legacy thread-per-subtask execution for A/B runs.
+/// holds a worker thread. SchedulerStats in the result expose per-worker
+/// task runs, steals, parks and quantum utilization.
 class ThreadedExecutor {
  public:
   ThreadedExecutor(JobGraph* graph, ThreadedExecutorOptions options = {});

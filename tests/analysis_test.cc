@@ -823,6 +823,8 @@ TEST(ExecutorRefusalTest, CorruptedWindowSpanRejectedAtRun) {
   EXPECT_NE(threaded_result.error.find("CEP2ASP-E310"), std::string::npos)
       << threaded_result.error;
   EXPECT_FALSE(threaded_result.diagnostics.empty());
+  // Refused before scheduling: the worker pool never ran.
+  EXPECT_FALSE(threaded_result.scheduler.used);
 }
 
 TEST(DiagnosticRegistryTest, CodesRenderStably) {

@@ -4,6 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
+#include <mutex>
+#include <thread>
+
 #include "asp/sliding_window_join.h"
 #include "asp/stateless.h"
 #include "runtime/executor.h"
@@ -31,6 +38,10 @@ class FaultyOperator : public Operator {
 
   std::string name() const override { return "faulty"; }
 
+  std::unique_ptr<Operator> CloneForSubtask() const override {
+    return std::make_unique<FaultyOperator>(fail_after_);
+  }
+
   Status Process(int, Tuple tuple, Collector* out) override {
     if (++processed_ > fail_after_) {
       return Status::Internal("injected operator fault");
@@ -52,11 +63,10 @@ class BadOpenOperator : public Operator {
   Status Process(int, Tuple, Collector*) override { return Status::OK(); }
 };
 
-JobGraph BuildFaultyGraph(int fail_after, CollectSink** sink_out,
-                          int events = 1000) {
+JobGraph BuildFaultyGraph(int fail_after, CollectSink** sink_out) {
   JobGraph graph;
   NodeId src =
-      graph.AddSource(std::make_unique<VectorSource>("s", MakeEvents(events)));
+      graph.AddSource(std::make_unique<VectorSource>("s", MakeEvents(1000)));
   NodeId faulty = graph.AddOperatorAfter(
       src, std::make_unique<FaultyOperator>(fail_after));
   auto sink = std::make_unique<CollectSink>();
@@ -76,15 +86,67 @@ TEST(FailureTest, OperatorFaultStopsSingleThreadedRun) {
   EXPECT_EQ(sink->count(), 100);
 }
 
+/// Runs `executor` and aborts the process if Run has not returned within
+/// `limit`, so a deadlocked error unwind fails fast instead of hanging.
+ExecutionResult RunWithDeadline(ThreadedExecutor* executor, CollectSink* sink,
+                                std::chrono::seconds limit) {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool done = false;
+  std::thread watchdog([&] {
+    std::unique_lock<std::mutex> lock(mu);
+    if (!cv.wait_for(lock, limit, [&] { return done; })) {
+      std::fprintf(stderr, "ThreadedExecutor::Run hung after a fault\n");
+      std::abort();
+    }
+  });
+  ExecutionResult result = executor->Run(sink);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    done = true;
+  }
+  cv.notify_one();
+  watchdog.join();
+  return result;
+}
+
 TEST(FailureTest, OperatorFaultStopsThreadedRunWithoutDeadlock) {
-  CollectSink* sink = nullptr;
-  JobGraph graph = BuildFaultyGraph(100, &sink, /*events=*/100000);
-  ThreadedExecutorOptions options;
-  options.queue_capacity = 16;  // small queues: producers block quickly
-  ThreadedExecutor executor(&graph, options);
-  ExecutionResult result = executor.Run(sink);
-  EXPECT_FALSE(result.ok);
-  EXPECT_NE(result.error.find("injected operator fault"), std::string::npos);
+  // The fault fires inside a hash-partitioned subtask while the source
+  // keeps pushing into small channels, so producers sit parked on credit
+  // when the error lands. Closing every channel and waking every parked
+  // task must unwind the whole job on any pool size.
+  std::vector<SimpleEvent> events;
+  for (int i = 0; i < 100000; ++i) {
+    events.push_back(Ev(0, i % 16, i * 1000, i));
+  }
+  for (int parallelism : {1, 4}) {
+    for (int workers : {1, 2}) {
+      JobGraph graph;
+      NodeId src = graph.AddSource(std::make_unique<VectorSource>("s", events));
+      NodeId keyed = graph.AddOperatorAfter(
+          src, MapOperator::KeyByAttribute(0, Attribute::kId));
+      NodeId faulty = graph.AddOperator(std::make_unique<FaultyOperator>(100));
+      CEP2ASP_CHECK_OK(graph.Connect(keyed, faulty, 0, PartitionMode::kHash));
+      CEP2ASP_CHECK_OK(graph.SetParallelism(faulty, parallelism));
+      auto sink_op = std::make_unique<CollectSink>();
+      CollectSink* sink = sink_op.get();
+      graph.AddOperatorAfter(faulty, std::move(sink_op));
+
+      ThreadedExecutorOptions options;
+      options.queue_capacity = 16;  // small queues: producers park quickly
+      options.worker_threads = workers;
+      ThreadedExecutor executor(&graph, options);
+      ExecutionResult result =
+          RunWithDeadline(&executor, sink, std::chrono::seconds(60));
+      EXPECT_FALSE(result.ok)
+          << "parallelism=" << parallelism << " workers=" << workers;
+      EXPECT_NE(result.error.find("injected operator fault"), std::string::npos)
+          << "parallelism=" << parallelism << " workers=" << workers << ": "
+          << result.error;
+      EXPECT_NE(result.error.find("faulty"), std::string::npos)
+          << "error should name the failing operator: " << result.error;
+    }
+  }
 }
 
 TEST(FailureTest, OpenFailureReportedBeforeProcessing) {

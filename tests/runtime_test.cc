@@ -832,7 +832,6 @@ TEST(ThreadedExecutorTest, RateLimitedSourceStillFlushesPartialBatches) {
   graph.AddOperatorAfter(src, std::move(sink_op));
   ThreadedExecutorOptions options;
   options.batch_size = 64;
-  options.source_flush_timeout_millis = 2;
   ThreadedExecutor executor(&graph, options);
   ExecutionResult result = executor.Run(sink);
   ASSERT_TRUE(result.ok) << result.error;

@@ -253,24 +253,19 @@ TEST(SlotAlignerTest, MinAlignsWatermarksAndCountsEnds) {
 // --- ThreadedExecutor on the task scheduler ---------------------------------
 
 TEST(ThreadedExecutorTest, SchedulerStatsSurfacedInResult) {
-  auto build = [](CollectSink** sink_out) {
-    auto graph = std::make_unique<JobGraph>();
-    NodeId src = graph->AddSource(
-        std::make_unique<VectorSource>("s", MakeEvents(0, 2000)));
-    NodeId filter = graph->AddOperatorAfter(
-        src, std::make_unique<FilterOperator>(
-                 [](const Tuple& t) { return t.event(0).value >= 100; }));
-    auto sink_op = std::make_unique<CollectSink>(/*store_tuples=*/false);
-    *sink_out = sink_op.get();
-    graph->AddOperatorAfter(filter, std::move(sink_op));
-    return graph;
-  };
+  JobGraph graph;
+  NodeId src = graph.AddSource(
+      std::make_unique<VectorSource>("s", MakeEvents(0, 2000)));
+  NodeId filter = graph.AddOperatorAfter(
+      src, std::make_unique<FilterOperator>(
+               [](const Tuple& t) { return t.event(0).value >= 100; }));
+  auto sink_op = std::make_unique<CollectSink>(/*store_tuples=*/false);
+  CollectSink* sink = sink_op.get();
+  graph.AddOperatorAfter(filter, std::move(sink_op));
 
-  CollectSink* sink = nullptr;
-  auto graph = build(&sink);
   ThreadedExecutorOptions options;
   options.worker_threads = 2;
-  ThreadedExecutor executor(graph.get(), options);
+  ThreadedExecutor executor(&graph, options);
   ExecutionResult result = executor.Run(sink);
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_EQ(result.matches_emitted, 1900);
@@ -285,17 +280,6 @@ TEST(ThreadedExecutorTest, SchedulerStatsSurfacedInResult) {
   EXPECT_GT(result.scheduler.quantum_utilization(), 0.0);
   EXPECT_LE(result.scheduler.quantum_utilization(), 1.0);
   EXPECT_NE(result.scheduler.ToString().find("workers=2"), std::string::npos);
-
-  // The legacy path reports itself as such.
-  CollectSink* legacy_sink = nullptr;
-  auto legacy_graph = build(&legacy_sink);
-  ThreadedExecutorOptions legacy_options;
-  legacy_options.use_task_scheduler = false;
-  ThreadedExecutor legacy(legacy_graph.get(), legacy_options);
-  ExecutionResult legacy_result = legacy.Run(legacy_sink);
-  ASSERT_TRUE(legacy_result.ok) << legacy_result.error;
-  EXPECT_EQ(legacy_result.matches_emitted, 1900);
-  EXPECT_FALSE(legacy_result.scheduler.used);
 }
 
 TEST(ThreadedExecutorTest, RateLimitedSourceDoesNotStarveCoScheduledTasks) {
@@ -355,7 +339,7 @@ TEST(ThreadedExecutorTest, OversubscribedParallelismCompletesOnOneWorker) {
   EXPECT_GE(result.scheduler.num_tasks, 6);  // src + keyed-chain + 4 + sink
 }
 
-// --- Schedule lint (I316) ---------------------------------------------------
+// --- Schedule layout --------------------------------------------------------
 
 JobGraph MakeParallelGraph(int parallelism) {
   JobGraph graph;
@@ -369,30 +353,6 @@ JobGraph MakeParallelGraph(int parallelism) {
   EXPECT_TRUE(graph.SetParallelism(mapped, parallelism).ok());
   graph.AddOperatorAfter(mapped, std::make_unique<CollectSink>(false));
   return graph;
-}
-
-TEST(ScheduleRulesTest, LegacyOversubscriptionReportsI316) {
-  JobGraph graph = MakeParallelGraph(4);
-  // Legacy threads: 1 source + keyed chain + 4 mapped + sink chain = 7 on
-  // 2 hardware threads -> oversubscribed.
-  DiagnosticReport legacy = AnalyzeSchedule(graph, /*chaining_enabled=*/true,
-                                            /*use_task_scheduler=*/false,
-                                            /*hardware_threads=*/2);
-  EXPECT_TRUE(legacy.Has(DiagnosticCode::kGraphScheduleOversubscribed));
-  EXPECT_EQ(legacy.error_count(), 0);
-  EXPECT_EQ(legacy.info_count(), 1);
-
-  // The task scheduler multiplexes: the finding never fires.
-  DiagnosticReport pooled = AnalyzeSchedule(graph, true,
-                                            /*use_task_scheduler=*/true,
-                                            /*hardware_threads=*/2);
-  EXPECT_TRUE(pooled.empty());
-
-  // Enough cores for every legacy thread: nothing to report either.
-  DiagnosticReport roomy = AnalyzeSchedule(graph, true,
-                                           /*use_task_scheduler=*/false,
-                                           /*hardware_threads=*/16);
-  EXPECT_TRUE(roomy.empty());
 }
 
 TEST(ScheduleRulesTest, ScheduleToStringListsEveryTask) {
