@@ -162,10 +162,8 @@ int Main(int argc, char** argv) {
                                        /*store_matches=*/false);
       CEP2ASP_CHECK(compiled.ok()) << compiled.status();
       const char* engine = v.name;
-      const bool chaining = v.chaining;
-      ThreadedExecutorOptions exec_options;
-      exec_options.enable_chaining = chaining;
-      ThreadedExecutor executor(&compiled->graph, exec_options);
+      if (!v.chaining) UnchainAll(&compiled->graph);
+      ThreadedExecutor executor(&compiled->graph);
       ExecutionResult result = executor.Run(compiled->sink);
       char speedup[32], skew[32];
       if (!result.ok) {

@@ -19,8 +19,6 @@
 #include "event/expr_program.h"
 #include "cep/cep_operator.h"
 #include "runtime/bounded_queue.h"
-#include "runtime/channel.h"
-#include "runtime/columnar_batch.h"
 #include "runtime/executor.h"
 #include "runtime/spsc_ring.h"
 #include "runtime/threaded_executor.h"
@@ -243,12 +241,11 @@ BENCHMARK(BM_RawChannelTransfer)
 
 // End-to-end exchange cost through the threaded executor: a pass-through
 // pipeline (source -> 2 filters -> sink) where per-tuple operator work is
-// trivial, so throughput is dominated by the channel layer. Args are
-// (batch_size, enable_spsc); {1, 0} reproduces the historical per-tuple
-// mutex exchange, {64, 1} is the micro-batched SPSC fast path.
+// trivial, so throughput is dominated by the channel layer. The arg is
+// batch_size: 1 is per-tuple exchange, 64 the micro-batched default. Every
+// edge has fan-in 1, so every channel is an SPSC ring.
 void BM_ThreadedExchange(benchmark::State& state) {
   const size_t batch = static_cast<size_t>(state.range(0));
-  const bool spsc = state.range(1) != 0;
   const int n = 100000;
   std::vector<SimpleEvent> events = MakeEvents(TypeA(), n, 10);
   for (auto _ : state) {
@@ -261,35 +258,27 @@ void BM_ThreadedExchange(benchmark::State& state) {
     auto sink_op = std::make_unique<CollectSink>(false);
     CollectSink* sink = sink_op.get();
     graph.AddOperatorAfter(f2, std::move(sink_op));
-    ThreadedExecutorOptions options;
-    options.batch_size = batch;
-    options.enable_spsc = spsc;
     // This benchmark measures the exchange layer; with chaining on the
     // filters fuse and there would be no exchange left to measure.
-    options.enable_chaining = false;
+    UnchainAll(&graph);
+    ThreadedExecutorOptions options;
+    options.batch_size = batch;
     ThreadedExecutor executor(&graph, options);
     ExecutionResult result = executor.Run(sink);
     benchmark::DoNotOptimize(result.matches_emitted);
   }
   state.SetItemsProcessed(state.iterations() * n);
-  state.SetLabel("batch=" + std::to_string(batch) +
-                 (spsc ? " spsc" : " mutex"));
+  state.SetLabel("batch=" + std::to_string(batch));
 }
-BENCHMARK(BM_ThreadedExchange)
-    ->Args({1, 0})
-    ->Args({1, 1})
-    ->Args({8, 1})
-    ->Args({64, 0})
-    ->Args({64, 1})
-    ->UseRealTime();
+BENCHMARK(BM_ThreadedExchange)->Arg(1)->Arg(8)->Arg(64)->UseRealTime();
 
 // --- Operator chaining -------------------------------------------------------
 //
 // The chain A/B: a forward pipeline (source -> filter -> map -> filter ->
 // sink) where every operator edge is chainable. Chain on fuses the four
 // operators into one subtask (tuples handed between Process calls, no
-// exchange); chain off runs the historical one-thread-per-node layout with
-// a real channel on every edge.
+// exchange); chain off opts every operator out (UnchainAll), one task per
+// node with a real channel on every edge.
 
 struct ChainPipeline {
   JobGraph graph;
@@ -319,9 +308,8 @@ void BM_ForwardChainPipeline(benchmark::State& state) {
   std::vector<SimpleEvent> events = MakeEvents(TypeA(), n, 10);
   for (auto _ : state) {
     ChainPipeline p = MakeForwardChainPipeline(events);
-    ThreadedExecutorOptions options;
-    options.enable_chaining = chained;
-    ThreadedExecutor executor(&p.graph, options);
+    if (!chained) UnchainAll(&p.graph);
+    ThreadedExecutor executor(&p.graph);
     ExecutionResult result = executor.Run(p.sink);
     benchmark::DoNotOptimize(result.matches_emitted);
   }
@@ -345,9 +333,8 @@ ChainAbSide RunChainSide(bool chained, int n, int repetitions) {
   double best_seconds = 0;
   for (int rep = 0; rep < repetitions; ++rep) {
     ChainPipeline p = MakeForwardChainPipeline(events);
-    ThreadedExecutorOptions options;
-    options.enable_chaining = chained;
-    ThreadedExecutor executor(&p.graph, options);
+    if (!chained) UnchainAll(&p.graph);
+    ThreadedExecutor executor(&p.graph);
     const auto start = std::chrono::steady_clock::now();
     ExecutionResult result = executor.Run(p.sink);
     const std::chrono::duration<double> elapsed =
@@ -364,8 +351,7 @@ ChainAbSide RunChainSide(bool chained, int n, int repetitions) {
           ++side.channels;
         }
       }
-      const ChainLayout layout =
-          ComputeChainLayout(p.graph, /*chaining_enabled=*/chained);
+      const ChainLayout layout = ComputeChainLayout(p.graph);
       side.threads = 0;
       for (NodeId id = 0; id < p.graph.num_nodes(); ++id) {
         if (p.graph.node(id).is_source()) ++side.threads;
@@ -669,497 +655,13 @@ int RunExprAb(bool quick) {
   return 0;
 }
 
-// --- SoA columnar A/B with machine-readable output ---------------------------
-//
-// Row-major vs columnar execution of the same compiled filter→key stage:
-// the pair of paths the executor chooses between with enable_columnar
-// on/off. Side A is CompiledStatelessOperator::ProcessBatch over 64-tuple
-// MessageBatches — the PR's baseline, already batch-vectorized via
-// RunBatch's strided loops. Side B is ProcessColumnar over pre-gathered
-// 64-row ColumnarBatch blocks (the same rows the source gather stages per
-// batch), where each fused term runs as one SIMD loop over two contiguous
-// double columns instead of a 280-byte-strided walk. Gather cost is
-// excluded on purpose: in the executor the source stages tuples either
-// way, and the stage-level ratio is what the SoA layout changes. Both
-// sides fold survivor count and key checksum into one value so any
-// observable divergence fails the run.
-//
-// A second A/B measures the transfer layer the columnar envelope buys:
-// pushing N rows through an SpscChannel as individual data Messages
-// (64-message batches) vs as one kColumnar envelope per 256 rows — one
-// ring slot and one Message move per block instead of per tuple.
-
-/// Counts survivors and checksums keys on both the row and the columnar
-/// interface, so either emission path produces the same observable value.
-class SoaAbSink final : public Collector {
- public:
-  void Emit(Tuple tuple) override {
-    ++count_;
-    key_sum_ += static_cast<uint64_t>(tuple.key());
-  }
-  void EmitColumnar(std::unique_ptr<ColumnarBatch> block) override {
-    const int64_t* keys = block->keys();
-    for (size_t i = 0; i < block->rows(); ++i) {
-      key_sum_ += static_cast<uint64_t>(keys[i]);
-    }
-    count_ += static_cast<int64_t>(block->rows());
-  }
-  int64_t count() const { return count_; }
-  uint64_t key_sum() const { return key_sum_; }
-
- private:
-  int64_t count_ = 0;
-  uint64_t key_sum_ = 0;
-};
-
-void RunSoaStageOnce(bool columnar, const std::vector<SimpleEvent>& events,
-                     AbSide* side) {
-  // Same cache-resident wave scheme as RunExprOnce: inputs for one wave
-  // are materialized untimed (the executor pays gather/batch-build cost
-  // on its own clock), then the stage runs timed.
-  constexpr size_t kWave = 4096;
-  constexpr size_t kBlockRows = 64;  // matches the default source batch
-  SoaAbSink sink;
-  double elapsed = 0.0;
-
-  ExprProgram fused = ExprProgram::Fuse(
-      ExprProgram::Filter(ExprAbPredicate(), ExprProgram::VarMode::kBroadcast),
-      ExprProgram::KeyByAttribute(0, Attribute::kId));
-  CEP2ASP_CHECK(fused.ok());
-  CompiledStatelessOperator op(std::move(fused), "filter+key");
-  CEP2ASP_CHECK(op.Traits().columnar_capable);
-
-  for (size_t wave = 0; wave < events.size(); wave += kWave) {
-    const size_t wave_end = std::min(events.size(), wave + kWave);
-    if (columnar) {
-      std::vector<std::unique_ptr<ColumnarBatch>> blocks;
-      for (size_t i = wave; i < wave_end; i += kBlockRows) {
-        auto block = std::make_unique<ColumnarBatch>(1);
-        const size_t end = std::min(wave_end, i + kBlockRows);
-        block->Reserve(end - i);
-        for (size_t j = i; j < end; ++j) {
-          block->AppendTuple(Tuple(events[j]));
-        }
-        blocks.push_back(std::move(block));
-      }
-      const auto start = std::chrono::steady_clock::now();
-      for (auto& block : blocks) {
-        CEP2ASP_CHECK(op.ProcessColumnar(0, std::move(block), &sink).ok());
-      }
-      elapsed += std::chrono::duration<double>(
-                     std::chrono::steady_clock::now() - start)
-                     .count();
-    } else {
-      const std::vector<SimpleEvent> slice(events.begin() + wave,
-                                           events.begin() + wave_end);
-      std::vector<MessageBatch> batches = MakeExprBatches(slice, kBlockRows);
-      const auto start = std::chrono::steady_clock::now();
-      for (MessageBatch& batch : batches) {
-        CEP2ASP_CHECK(op.ProcessBatch(0, &batch, &sink).ok());
-      }
-      elapsed += std::chrono::duration<double>(
-                     std::chrono::steady_clock::now() - start)
-                     .count();
-    }
-  }
-  side->matches =
-      sink.count() + static_cast<int64_t>(sink.key_sum() % 1000003);
-  side->tps.push_back(static_cast<double>(events.size()) / elapsed);
-}
-
-void RunSoaChannelOnce(bool columnar, const std::vector<SimpleEvent>& events,
-                       AbSide* side) {
-  constexpr size_t kRowBatch = 64;
-  constexpr size_t kBlockRows = 256;  // one envelope per gathered block
-  // Payloads are pre-built untimed — the transfer A/B measures ring
-  // traffic, not tuple construction.
-  std::vector<MessageBatch> batches;
-  if (columnar) {
-    for (size_t i = 0; i < events.size(); i += kBlockRows) {
-      auto block = std::make_unique<ColumnarBatch>(1);
-      const size_t end = std::min(events.size(), i + kBlockRows);
-      block->Reserve(end - i);
-      for (size_t j = i; j < end; ++j) block->AppendTuple(Tuple(events[j]));
-      MessageBatch batch;
-      batch.push_back(Message::Columnar(0, std::move(block), 0));
-      batches.push_back(std::move(batch));
-    }
-  } else {
-    batches = MakeExprBatches(events, kRowBatch);
-  }
-
-  SpscChannel channel(4096);
-  int64_t consumed_rows = 0;
-  const auto start = std::chrono::steady_clock::now();
-  std::thread consumer([&channel, &consumed_rows] {
-    MessageBatch popped;
-    while (channel.PopBatch(&popped, 64)) {
-      for (Message& msg : popped) {
-        if (msg.kind == MessageKind::kTuple) {
-          ++consumed_rows;
-        } else if (msg.kind == MessageKind::kColumnar) {
-          consumed_rows += msg.columnar_rows;
-        }
-      }
-    }
-  });
-  for (MessageBatch& batch : batches) {
-    CEP2ASP_CHECK(channel.PushBatch(&batch));
-  }
-  channel.Close();
-  consumer.join();
-  const std::chrono::duration<double> elapsed =
-      std::chrono::steady_clock::now() - start;
-  side->matches = consumed_rows;
-  side->tps.push_back(static_cast<double>(events.size()) / elapsed.count());
-}
-
-/// Hash-edge A/B: what a hash-partitioned exchange edge costs per row with
-/// and without block shipping. Columnar side: split each gathered block
-/// into per-subtask sub-blocks (ColumnarBatch::PartitionByKey — batched
-/// splitmix64 over the contiguous key column, then one pre-sized scatter
-/// per column) and push each sub-block as one kColumnar envelope. Row
-/// side: per row, a scalar KeyToSubtask plus one Message copy into the
-/// target's staging batch, flushed at the executor's batch size — exactly
-/// the RoutingCollector::Append path. Keys are spread pseudo-randomly so
-/// neither side benefits from runs; the consumer folds (subtask+1)-weighted
-/// row counts so any routing divergence fails the run.
-void RunHashPartitionOnce(bool columnar, const std::vector<SimpleEvent>& events,
-                          AbSide* side) {
-  constexpr size_t kBlockRows = 256;  // one partition call per gathered block
-  constexpr int kParallelism = 4;
-  constexpr size_t kStageFlush = 64;  // row staging batch, as in the executor
-
-  // Payloads pre-built untimed, identically keyed on both sides.
-  std::vector<std::unique_ptr<ColumnarBatch>> blocks;
-  std::vector<Tuple> tuples;
-  if (columnar) {
-    for (size_t i = 0; i < events.size(); i += kBlockRows) {
-      auto block = std::make_unique<ColumnarBatch>(1);
-      const size_t end = std::min(events.size(), i + kBlockRows);
-      block->Reserve(end - i);
-      for (size_t j = i; j < end; ++j) {
-        Tuple t(events[j]);
-        t.set_key(static_cast<int64_t>(j * 7919) % 1024);
-        block->AppendTuple(t);
-      }
-      blocks.push_back(std::move(block));
-    }
-  } else {
-    tuples.reserve(events.size());
-    for (size_t j = 0; j < events.size(); ++j) {
-      Tuple t(events[j]);
-      t.set_key(static_cast<int64_t>(j * 7919) % 1024);
-      tuples.push_back(std::move(t));
-    }
-  }
-
-  SpscChannel channel(4096);
-  int64_t checksum = 0;
-  const auto start = std::chrono::steady_clock::now();
-  std::thread consumer([&channel, &checksum] {
-    MessageBatch popped;
-    while (channel.PopBatch(&popped, 64)) {
-      for (Message& msg : popped) {
-        if (msg.kind == MessageKind::kTuple) {
-          checksum += msg.slot + 1;
-        } else if (msg.kind == MessageKind::kColumnar) {
-          checksum += (msg.slot + 1) * msg.columnar_rows;
-        }
-      }
-    }
-  });
-  if (columnar) {
-    for (auto& block : blocks) {
-      std::vector<std::unique_ptr<ColumnarBatch>> parts =
-          block->PartitionByKey(kParallelism);
-      block.reset();
-      for (int s = 0; s < kParallelism; ++s) {
-        if (parts[static_cast<size_t>(s)] == nullptr) continue;
-        MessageBatch envelope;
-        envelope.push_back(
-            Message::Columnar(0, std::move(parts[static_cast<size_t>(s)]), s));
-        CEP2ASP_CHECK(channel.PushBatch(&envelope));
-      }
-    }
-  } else {
-    MessageBatch staging[kParallelism];
-    for (const Tuple& t : tuples) {
-      const int s = KeyToSubtask(t.key(), kParallelism);
-      staging[s].push_back(Message::Data(0, t, s));
-      if (staging[s].size() >= kStageFlush) {
-        CEP2ASP_CHECK(channel.PushBatch(&staging[s]));
-        staging[s].clear();
-      }
-    }
-    for (int s = 0; s < kParallelism; ++s) {
-      CEP2ASP_CHECK(channel.PushBatch(&staging[s]));
-    }
-  }
-  channel.Close();
-  consumer.join();
-  const std::chrono::duration<double> elapsed =
-      std::chrono::steady_clock::now() - start;
-  side->matches = checksum;
-  side->tps.push_back(static_cast<double>(events.size()) / elapsed.count());
-}
-
-/// Join-ingest A/B: SlidingWindowJoinOperator::ProcessColumnar (column-wise
-/// append into the per-(key, side) SoA window buffers, one key lookup per
-/// run of equal keys) vs the base-class scatter shim the join paid before
-/// it was columnar-capable (explicitly `Operator::ProcessColumnar`: a
-/// RowTuple gather plus per-tuple Process per row). Keys arrive in 16-row
-/// bursts — the shape per-sensor sources and hash-partitioned sub-blocks
-/// produce — and the right side receives 1/64 of the blocks with a
-/// never-true condition, so firing and probing stay a small, identical
-/// cost on both sides and the measured path is the ingest itself.
-void RunJoinIngestOnce(bool columnar, const std::vector<SimpleEvent>& events,
-                       AbSide* side) {
-  constexpr size_t kBlockRows = 256;
-  constexpr int kWatermarkEveryBlocks = 16;
-
-  Predicate never;  // values are 0..99: evaluated per pair, never true
-  never.Add(Comparison::AttrConst({0, Attribute::kValue}, CmpOp::kLt, -1.0));
-  SlidingWindowJoinOperator op(SlidingWindowSpec{5120, 5120}, never,
-                               TimestampMode::kMax, "bench-join");
-  CEP2ASP_CHECK(op.Open().ok());
-  CEP2ASP_CHECK(op.Traits().columnar_capable);
-  SoaAbSink sink;
-
-  // Payloads pre-built untimed, identically for both sides.
-  std::vector<std::unique_ptr<ColumnarBatch>> blocks;
-  for (size_t i = 0; i < events.size(); i += kBlockRows) {
-    auto block = std::make_unique<ColumnarBatch>(1);
-    const size_t end = std::min(events.size(), i + kBlockRows);
-    block->Reserve(end - i);
-    for (size_t j = i; j < end; ++j) {
-      Tuple t(events[j]);
-      t.set_key(static_cast<int64_t>(j / 16) % 256);  // 16-row key bursts
-      block->AppendTuple(t);
-    }
-    blocks.push_back(std::move(block));
-  }
-
-  const auto start = std::chrono::steady_clock::now();
-  Timestamp max_ts = 0;
-  for (size_t b = 0; b < blocks.size(); ++b) {
-    const size_t rows = blocks[b]->rows();
-    if (rows > 0) {
-      max_ts = std::max(max_ts, blocks[b]->event_time(rows - 1));
-    }
-    const int input = (b % 64 == 63) ? 1 : 0;
-    if (columnar) {
-      CEP2ASP_CHECK(op.ProcessColumnar(input, std::move(blocks[b]), &sink).ok());
-    } else {
-      CEP2ASP_CHECK(
-          op.Operator::ProcessColumnar(input, std::move(blocks[b]), &sink).ok());
-    }
-    if (b % kWatermarkEveryBlocks == kWatermarkEveryBlocks - 1) {
-      CEP2ASP_CHECK(op.OnWatermark(max_ts, &sink).ok());
-    }
-  }
-  CEP2ASP_CHECK(op.OnWatermark(max_ts + 2 * 5120, &sink).ok());
-  const std::chrono::duration<double> elapsed =
-      std::chrono::steady_clock::now() - start;
-
-  // Any divergence in buffered state, probe work, or emissions fails the
-  // run: both ingest paths must be observationally identical.
-  side->matches = sink.count() +
-                  static_cast<int64_t>(sink.key_sum() % 1000003) +
-                  op.pairs_evaluated() +
-                  static_cast<int64_t>(op.StateBytes() % 1000003);
-  side->tps.push_back(static_cast<double>(events.size()) / elapsed.count());
-}
-
-/// Runs the row-major vs columnar A/B (compiled stage + channel transfer
-/// + hash partition + join ingest) and writes
-/// bench_results/BENCH_soa.json. Paired, order-alternating repetitions
-/// with one untimed warm-up, exactly like the expr A/B. Exit status gates
-/// CI: the columnar stage must reach 1.5x row-major, block
-/// hash-partitioning 1.3x the per-row scatter, and the join's columnar
-/// ingest 1.2x the row-major shim.
-int RunSoaAb(bool quick) {
-  const int n = quick ? 300000 : 2000000;
-  const int channel_rows = quick ? 1 << 16 : 1 << 17;
-  const int partition_rows = quick ? 1 << 16 : 1 << 19;
-  const int join_rows = quick ? 1 << 16 : 1 << 19;
-  const int repetitions = quick ? 5 : 9;
-  std::vector<SimpleEvent> events = MakeEvents(TypeA(), n, 10);
-  std::vector<SimpleEvent> channel_events =
-      MakeEvents(TypeA(), channel_rows, 10);
-  std::vector<SimpleEvent> partition_events =
-      MakeEvents(TypeA(), partition_rows, 10);
-  std::vector<SimpleEvent> join_events = MakeEvents(TypeA(), join_rows, 10);
-
-  AbSide col, row;
-  {
-    AbSide warmup;
-    RunSoaStageOnce(/*columnar=*/true, events, &warmup);
-    RunSoaStageOnce(/*columnar=*/false, events, &warmup);
-  }
-  for (int rep = 0; rep < repetitions; ++rep) {
-    const bool col_first = (rep % 2) == 0;
-    RunSoaStageOnce(col_first, events, col_first ? &col : &row);
-    RunSoaStageOnce(!col_first, events, col_first ? &row : &col);
-  }
-  if (col.matches != row.matches) {
-    std::fprintf(stderr,
-                 "soa A/B: stage checksums diverged (columnar %lld vs "
-                 "row-major %lld)\n",
-                 static_cast<long long>(col.matches),
-                 static_cast<long long>(row.matches));
-    return 1;
-  }
-
-  AbSide chan_col, chan_row;
-  {
-    AbSide warmup;
-    RunSoaChannelOnce(/*columnar=*/true, channel_events, &warmup);
-    RunSoaChannelOnce(/*columnar=*/false, channel_events, &warmup);
-  }
-  for (int rep = 0; rep < repetitions; ++rep) {
-    const bool col_first = (rep % 2) == 0;
-    RunSoaChannelOnce(col_first, channel_events,
-                      col_first ? &chan_col : &chan_row);
-    RunSoaChannelOnce(!col_first, channel_events,
-                      col_first ? &chan_row : &chan_col);
-  }
-  if (chan_col.matches != chan_row.matches) {
-    std::fprintf(stderr, "soa A/B: channel row counts diverged\n");
-    return 1;
-  }
-
-  AbSide part_col, part_row;
-  {
-    AbSide warmup;
-    RunHashPartitionOnce(/*columnar=*/true, partition_events, &warmup);
-    RunHashPartitionOnce(/*columnar=*/false, partition_events, &warmup);
-  }
-  for (int rep = 0; rep < repetitions; ++rep) {
-    const bool col_first = (rep % 2) == 0;
-    RunHashPartitionOnce(col_first, partition_events,
-                         col_first ? &part_col : &part_row);
-    RunHashPartitionOnce(!col_first, partition_events,
-                         col_first ? &part_row : &part_col);
-  }
-  if (part_col.matches != part_row.matches) {
-    std::fprintf(stderr,
-                 "soa A/B: hash-partition checksums diverged (columnar %lld "
-                 "vs row-major %lld)\n",
-                 static_cast<long long>(part_col.matches),
-                 static_cast<long long>(part_row.matches));
-    return 1;
-  }
-
-  AbSide join_col, join_row;
-  {
-    AbSide warmup;
-    RunJoinIngestOnce(/*columnar=*/true, join_events, &warmup);
-    RunJoinIngestOnce(/*columnar=*/false, join_events, &warmup);
-  }
-  for (int rep = 0; rep < repetitions; ++rep) {
-    const bool col_first = (rep % 2) == 0;
-    RunJoinIngestOnce(col_first, join_events,
-                      col_first ? &join_col : &join_row);
-    RunJoinIngestOnce(!col_first, join_events,
-                      col_first ? &join_row : &join_col);
-  }
-  if (join_col.matches != join_row.matches) {
-    std::fprintf(stderr,
-                 "soa A/B: join-ingest checksums diverged (columnar %lld vs "
-                 "row-major %lld)\n",
-                 static_cast<long long>(join_col.matches),
-                 static_cast<long long>(join_row.matches));
-    return 1;
-  }
-
-  const double stage_speedup = MedianPairedRatio(col, row);
-  const double channel_speedup = MedianPairedRatio(chan_col, chan_row);
-  const double partition_speedup = MedianPairedRatio(part_col, part_row);
-  const double join_speedup = MedianPairedRatio(join_col, join_row);
-  constexpr double kGate = 1.5;
-  constexpr double kPartitionGate = 1.3;
-  constexpr double kJoinGate = 1.2;
-  const bool gate_passed = stage_speedup >= kGate &&
-                           partition_speedup >= kPartitionGate &&
-                           join_speedup >= kJoinGate;
-
-  char buf[256];
-  std::string json = "{\n";
-  json += "  \"benchmark\": \"soa_ab\",\n";
-  json +=
-      "  \"stage\": \"compiled filter(3 terms)+key:=attr, 64-row blocks\",\n";
-  json += "  \"simd\": ";
-#ifdef CEP2ASP_SIMD
-  json += "true,\n";
-#else
-  json += "false,\n";
-#endif
-  json += "  \"tuples_per_run\": " + std::to_string(n) + ",\n";
-  json += "  \"repetitions\": " + std::to_string(repetitions) + ",\n";
-  std::snprintf(buf, sizeof(buf),
-                "  \"stage_ab\": {\"columnar_tps\": %.0f, \"row_tps\": %.0f, "
-                "\"speedup\": %.2f},\n",
-                Median(col.tps), Median(row.tps), stage_speedup);
-  json += buf;
-  std::snprintf(buf, sizeof(buf),
-                "  \"channel_ab\": {\"rows\": %d, \"columnar_tps\": %.0f, "
-                "\"row_tps\": %.0f, \"speedup\": %.2f},\n",
-                channel_rows, Median(chan_col.tps), Median(chan_row.tps),
-                channel_speedup);
-  json += buf;
-  std::snprintf(buf, sizeof(buf),
-                "  \"hash_partition_ab\": {\"rows\": %d, \"parallelism\": 4, "
-                "\"columnar_tps\": %.0f, \"row_tps\": %.0f, "
-                "\"speedup\": %.2f, \"gate_min_speedup\": %.2f},\n",
-                partition_rows, Median(part_col.tps), Median(part_row.tps),
-                partition_speedup, kPartitionGate);
-  json += buf;
-  std::snprintf(buf, sizeof(buf),
-                "  \"join_ingest_ab\": {\"rows\": %d, "
-                "\"columnar_tps\": %.0f, \"row_tps\": %.0f, "
-                "\"speedup\": %.2f, \"gate_min_speedup\": %.2f},\n",
-                join_rows, Median(join_col.tps), Median(join_row.tps),
-                join_speedup, kJoinGate);
-  json += buf;
-  std::snprintf(buf, sizeof(buf),
-                "  \"gate_min_stage_speedup\": %.2f,\n  \"gate_passed\": %s\n",
-                kGate, gate_passed ? "true" : "false");
-  json += buf;
-  json += "}\n";
-
-  std::error_code ec;
-  std::filesystem::create_directories("bench_results", ec);
-  const char* path = "bench_results/BENCH_soa.json";
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return 1;
-  }
-  std::fputs(json.c_str(), f);
-  std::fclose(f);
-  std::printf("%s", json.c_str());
-  std::printf("wrote %s\n", path);
-  if (!gate_passed) {
-    std::fprintf(stderr,
-                 "soa A/B gate FAILED: stage %.2fx (floor %.2f), "
-                 "hash-partition %.2fx (floor %.2f), join ingest %.2fx "
-                 "(floor %.2f)\n",
-                 stage_speedup, kGate, partition_speedup, kPartitionGate,
-                 join_speedup, kJoinGate);
-    return 1;
-  }
-  return 0;
-}
-
 }  // namespace
 }  // namespace cep2asp
 
 // Custom main: `--quick` / `--chain-ab` run the chain A/B and emit
 // BENCH_chain.json; `--expr-ab` / `--expr-ab-quick` run the compiled vs
-// interpreted expression A/B and emit BENCH_expr.json; `--soa-ab` / `--soa-ab-quick` run the row-major
-// vs columnar A/B and emit BENCH_soa.json; anything else goes to
-// google-benchmark as usual.
+// interpreted expression A/B and emit BENCH_expr.json; anything else goes
+// to google-benchmark as usual.
 int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -1167,8 +669,6 @@ int main(int argc, char** argv) {
     if (arg == "--chain-ab") return cep2asp::RunChainAb(/*quick=*/false);
     if (arg == "--expr-ab") return cep2asp::RunExprAb(/*quick=*/false);
     if (arg == "--expr-ab-quick") return cep2asp::RunExprAb(/*quick=*/true);
-    if (arg == "--soa-ab") return cep2asp::RunSoaAb(/*quick=*/false);
-    if (arg == "--soa-ab-quick") return cep2asp::RunSoaAb(/*quick=*/true);
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

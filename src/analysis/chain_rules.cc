@@ -26,7 +26,6 @@ DiagnosticReport AnalyzeChaining(const JobGraph& graph) {
         case ChainBreak::kChained:
         case ChainBreak::kNotForward:
         case ChainBreak::kSourceProducer:
-        case ChainBreak::kDisabled:
           continue;
         case ChainBreak::kProducerOptedOut:
         case ChainBreak::kConsumerOptedOut:
@@ -40,84 +39,6 @@ DiagnosticReport AnalyzeChaining(const JobGraph& graph) {
                  NodeLabel(graph, from),
                  "forward edge to " + NodeLabel(graph, to) + " not chained: " +
                      ChainBreakToString(verdict));
-    }
-  }
-  return report;
-}
-
-DiagnosticReport AnalyzeColumnarLayout(const JobGraph& graph) {
-  DiagnosticReport report;
-  const ChainLayout layout = ComputeChainLayout(graph);
-  for (NodeId from = 0; from < graph.num_nodes(); ++from) {
-    const JobGraph::Node& node = graph.node(from);
-    const bool producer_columnar =
-        !node.is_source() && node.op->Traits().columnar_capable;
-    for (size_t out = 0; out < node.outputs.size(); ++out) {
-      const JobGraph::Edge& edge = node.outputs[out];
-      const JobGraph::Node& consumer = graph.node(edge.to);
-      const bool consumer_columnar =
-          consumer.op != nullptr && consumer.op->Traits().columnar_capable;
-      const std::string to_label = NodeLabel(graph, edge.to);
-      if (layout.fused(from, out)) {
-        // In-chain hand-off: blocks flow (or scatter) through the
-        // ChainedCollector, never a channel. Silent when neither endpoint
-        // runs columnar — nothing SoA-related happens on the edge.
-        if (producer_columnar && consumer_columnar) {
-          report.Add(DiagnosticCode::kGraphColumnarStatus,
-                     NodeLabel(graph, from),
-                     "fused edge to " + to_label +
-                         ": columnar (blocks hand over in-chain)");
-        } else if (producer_columnar) {
-          report.Add(DiagnosticCode::kGraphColumnarStatus,
-                     NodeLabel(graph, from),
-                     "fused edge to " + to_label +
-                         ": scatter shim (row-major consumer in chain)");
-        }
-        continue;
-      }
-      // Channel edge: mirror RoutingCollector's per-edge negotiation.
-      // Forward and hash edges into columnar-capable consumers carry
-      // blocks (hash via PartitionByKey); broadcast edges and row-major
-      // consumers cannot. Blocks travel only when EVERY out-edge of the
-      // producer is eligible — one ineligible sibling makes the whole
-      // fan-out scatter once.
-      std::string reason;
-      if (edge.partition == PartitionMode::kBroadcast) {
-        reason = "broadcast would deep-copy blocks";
-      } else if (!consumer_columnar) {
-        reason = "consumer is row-major";
-      }
-      bool all_eligible = reason.empty();
-      if (all_eligible) {
-        for (const JobGraph::Edge& sibling : node.outputs) {
-          const JobGraph::Node& sib_consumer = graph.node(sibling.to);
-          const bool sib_columnar =
-              sib_consumer.op != nullptr &&
-              sib_consumer.op->Traits().columnar_capable;
-          if (sibling.partition == PartitionMode::kBroadcast ||
-              !sib_columnar) {
-            all_eligible = false;
-            reason = "sibling edge cannot carry blocks";
-            break;
-          }
-        }
-      }
-      if (all_eligible) {
-        report.Add(DiagnosticCode::kGraphColumnarStatus,
-                   NodeLabel(graph, from),
-                   "edge to " + to_label +
-                       (edge.partition == PartitionMode::kHash
-                            ? ": columnar (hash-partitions blocks per subtask)"
-                            : ": columnar (ships column blocks whole)"));
-      } else if (producer_columnar) {
-        report.Add(DiagnosticCode::kGraphColumnarStatus,
-                   NodeLabel(graph, from),
-                   "edge to " + to_label + ": scatter shim (" + reason + ")");
-      } else {
-        report.Add(DiagnosticCode::kGraphColumnarStatus,
-                   NodeLabel(graph, from),
-                   "edge to " + to_label + ": row-major (" + reason + ")");
-      }
     }
   }
   return report;

@@ -22,22 +22,6 @@ namespace cep2asp {
 /// produces an empty AnalyzeJobGraph report.
 DiagnosticReport AnalyzeChaining(const JobGraph& graph);
 
-/// \brief Columnar-transfer lint pass (diagnostic code I322).
-///
-/// Reports, per operator-feeding edge, how tuples would travel under the
-/// executor's SoA negotiation (ThreadedExecutorOptions::enable_columnar):
-///   - "columnar"     — the edge ships whole ColumnarBatch envelopes (single
-///                      forward-mode edge into a columnar-capable consumer,
-///                      or an in-chain hand-off between capable operators);
-///   - "scatter shim" — the producer runs columnar but this edge cannot
-///                      carry blocks (fan-out, hash/broadcast partitioning,
-///                      or a row-major consumer), so blocks are scattered
-///                      back to rows at the boundary;
-///   - "row-major"    — rows travel individually, with the blocking reason.
-/// Mirrors RoutingCollector's negotiation exactly; like AnalyzeChaining it
-/// stays out of AnalyzeJobGraph so executor reports remain info-free.
-DiagnosticReport AnalyzeColumnarLayout(const JobGraph& graph);
-
 }  // namespace cep2asp
 
 #endif  // CEP2ASP_ANALYSIS_CHAIN_RULES_H_

@@ -132,10 +132,6 @@ constexpr CodeInfo kRegistry[] = {
     {DiagnosticCode::kGraphExprVerifyFailed, DiagnosticSeverity::kError,
      "compiled expression bytecode failed static verification (malformed "
      "encoding: bad opcode, out-of-range operand, or unbalanced stack)"},
-    {DiagnosticCode::kGraphColumnarStatus, DiagnosticSeverity::kInfo,
-     "per-edge columnar (SoA) transfer report: whether the edge ships "
-     "column blocks whole, crosses a gather/scatter shim, or stays "
-     "row-major, and why (plan_lint --chains)"},
 };
 
 const CodeInfo* FindInfo(DiagnosticCode code) {

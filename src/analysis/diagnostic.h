@@ -69,14 +69,14 @@ enum class DiagnosticCode : int {
   kGraphParallelismExceedsKeys = 313,  // W: parallelism > distinct keys
   kGraphParallelUnsupported = 314,  // E: parallelism > 1 where unsupported
   kGraphForwardEdgeNotChained = 315,// I: forward edge left unfused (why)
-  // 316 is retired (was I316: legacy thread-per-subtask oversubscription);
-  // never reuse it.
+  // 316 and 322 are retired (were I316: legacy thread-per-subtask
+  // oversubscription; I322: per-edge columnar transfer report); never
+  // reuse them.
   kGraphExprCompilation = 317,      // I: filter/map expression-exec report
   kGraphFilterAlwaysFalse = 318,    // E: filter provably rejects everything
   kGraphFilterAlwaysTrue = 319,     // W: filter provably passes everything
   kGraphRangeReport = 320,          // I: derived attribute-range/selectivity
   kGraphExprVerifyFailed = 321,     // E: compiled bytecode fails verification
-  kGraphColumnarStatus = 322,       // I: per-edge columnar/row-major/shim
 };
 
 /// Severity a code always carries (the letter in its rendered name).

@@ -291,18 +291,6 @@ void CheckExprPrograms(const JobGraph& graph, DiagnosticReport* report) {
     if (!verdict.ok()) {
       report->Add(DiagnosticCode::kGraphExprVerifyFailed,
                   NodeLabel(graph, id), verdict.message());
-      continue;
-    }
-    // A columnar-capable operator runs the same bytecode through a second
-    // entry point (RunColumnar); E321 covers both execution modes.
-    if (traits.columnar_capable) {
-      const Status columnar =
-          ExprVerifier::VerifyColumnar(*traits.program, capacity);
-      if (!columnar.ok()) {
-        report->Add(DiagnosticCode::kGraphExprVerifyFailed,
-                    NodeLabel(graph, id),
-                    "columnar entry point: " + columnar.message());
-      }
     }
   }
 }

@@ -176,10 +176,8 @@ int LintPaperPatterns() {
 
 /// Prints the chain layout ComputeChainLayout produces for one pattern
 /// under one option set, followed by the I315 findings for forward edges
-/// the planner left unfused, the I317 expression-execution report (which
-/// filter/map nodes compiled, and why the rest fell back), and the I322
-/// columnar-transfer report (which edges ship SoA blocks whole, which
-/// cross a gather/scatter shim, and which stay row-major). Purely
+/// the planner left unfused and the I317 expression-execution report
+/// (which filter/map nodes compiled, and why the rest fell back). Purely
 /// informational — never contributes to the exit code.
 void PrintChains(const std::string& name, const Pattern& pattern,
                  const OptionSet& set) {
@@ -201,7 +199,6 @@ void PrintChains(const std::string& name, const Pattern& pattern,
   std::printf("%s", layout.ToString(graph).c_str());
   PrintReport(AnalyzeChaining(graph));
   PrintReport(AnalyzeExprCompilation(graph));
-  PrintReport(AnalyzeColumnarLayout(graph));
 }
 
 int PrintPaperChains() {
@@ -239,7 +236,7 @@ void PrintSchedule(const std::string& name, const Pattern& pattern,
   }
   const JobGraph& graph = query.ValueOrDie().graph;
   std::printf("%s x %s:\n", name.c_str(), set.name);
-  std::printf("%s", ScheduleToString(graph, /*chaining_enabled=*/true).c_str());
+  std::printf("%s", ScheduleToString(graph).c_str());
 }
 
 int PrintPaperSchedule() {

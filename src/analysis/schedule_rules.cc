@@ -15,9 +15,8 @@ std::string NodeName(const JobGraph& graph, NodeId id) {
 
 }  // namespace
 
-std::string ScheduleToString(const JobGraph& graph, bool chaining_enabled,
-                             int worker_threads) {
-  const ChainLayout layout = ComputeChainLayout(graph, chaining_enabled);
+std::string ScheduleToString(const JobGraph& graph, int worker_threads) {
+  const ChainLayout layout = ComputeChainLayout(graph);
   std::string out;
   int task = 0;
   for (NodeId id = 0; id < graph.num_nodes(); ++id) {

@@ -11,8 +11,7 @@ namespace cep2asp {
 /// per scheduler task ("task 3: win-join[1] (chain 1, subtask 1)"), then
 /// the totals — task count and the worker-pool size the task scheduler
 /// would use (`worker_threads`, 0 meaning hardware_concurrency).
-std::string ScheduleToString(const JobGraph& graph, bool chaining_enabled,
-                             int worker_threads = 0);
+std::string ScheduleToString(const JobGraph& graph, int worker_threads = 0);
 
 }  // namespace cep2asp
 

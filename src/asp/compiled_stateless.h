@@ -43,14 +43,6 @@ class CompiledStatelessOperator : public Operator {
     const Status verdict = ExprVerifier::Verify(program_, declared_events_);
     CEP2ASP_CHECK(verdict.ok())
         << "expr verifier rejected " << label_ << ": " << verdict.message();
-    if (program_.IsColumnarExecutable()) {
-      // The columnar entry point is a second execution mode of the same
-      // bytecode; verify it under the columnar rules too (E321 covers both).
-      const Status columnar = ExprVerifier::VerifyColumnar(program_,
-                                                           declared_events_);
-      CEP2ASP_CHECK(columnar.ok()) << "columnar expr verifier rejected "
-                                   << label_ << ": " << columnar.message();
-    }
 #endif
   }
 
@@ -64,7 +56,6 @@ class CompiledStatelessOperator : public Operator {
     traits.program = &program_;
     traits.expr_capacity = declared_events_;
     traits.selectivity_bound = selectivity_bound_;
-    traits.columnar_capable = program_.IsColumnarExecutable();
     return traits;
   }
 
@@ -98,21 +89,6 @@ class CompiledStatelessOperator : public Operator {
     }
     batch->resize(kept);
     out->EmitBatch(batch);
-    return Status::OK();
-  }
-
-  Status ProcessColumnar(int input, std::unique_ptr<ColumnarBatch> block,
-                         Collector* out) override {
-    (void)input;
-    // Fused prefix programs are always columnar-executable (the translator
-    // emits only fused term opcodes); a stack-form program would fall back
-    // to the base-class scatter shim via RunColumnar returning false.
-    const ExprColumnarView view = block->View();
-    if (!program_.RunColumnar(view)) {
-      return Operator::ProcessColumnar(input, std::move(block), out);
-    }
-    block->Compact();
-    if (!block->empty()) out->EmitColumnar(std::move(block));
     return Status::OK();
   }
 

@@ -71,56 +71,6 @@ Status SlidingWindowJoinOperator::Process(int input, Tuple tuple, Collector*) {
   return Status::OK();
 }
 
-void SlidingWindowJoinOperator::AppendRun(SideBuffer* side,
-                                          const ColumnarBatch& block,
-                                          size_t begin, size_t end) {
-  if (side->rows.rows() == 0 && side->rows.num_slots() != block.num_slots()) {
-    side->rows.Reset(block.num_slots());
-  }
-  CEP2ASP_DCHECK(side->rows.num_slots() == block.num_slots())
-      << "block shape " << block.num_slots() << " vs side "
-      << side->rows.num_slots();
-  const Timestamp* ets = block.event_times();
-  Timestamp prev = side->empty()
-                       ? kMinTimestamp
-                       : side->rows.event_time(side->rows.rows() - 1);
-  Timestamp run_min = kMaxTimestamp;
-  for (size_t r = begin; r < end; ++r) {
-    if (ets[r] < prev) side->sorted = false;
-    prev = ets[r];
-    run_min = std::min(run_min, ets[r]);
-  }
-  side->min_ts = std::min(side->min_ts, run_min);
-  min_buffered_ts_ = std::min(min_buffered_ts_, run_min);
-  side->rows.AppendRows(block, begin, end);
-  state_bytes_ += (end - begin) * RowBytes(block.num_slots());
-}
-
-Status SlidingWindowJoinOperator::ProcessColumnar(
-    int input, std::unique_ptr<ColumnarBatch> block, Collector*) {
-  CEP2ASP_DCHECK(input == 0 || input == 1);
-  const size_t n = block->rows();
-  const int64_t* keys = block->keys();
-  const uint8_t* mask = block->mask();
-  // Ingest runs of equal keys with one key lookup and one column-wise
-  // append each: hash-partitioned sub-blocks and constant-key (cartesian)
-  // inputs arrive as few long runs, per-key-interleaved inputs degrade to
-  // per-row appends that still skip the RowTuple gather.
-  size_t i = 0;
-  while (i < n) {
-    if (!mask[i]) {
-      ++i;
-      continue;
-    }
-    size_t j = i + 1;
-    while (j < n && mask[j] && keys[j] == keys[i]) ++j;
-    KeyState& key_state = StateForKey(keys[i]);
-    AppendRun(&key_state.sides[input], *block, i, j);
-    i = j;
-  }
-  return Status::OK();
-}
-
 Status SlidingWindowJoinOperator::OnWatermark(Timestamp watermark,
                                               Collector* out) {
   FireWindows(watermark, out);
@@ -290,8 +240,8 @@ void SlidingWindowJoinOperator::EvictBefore(Timestamp min_keep_ts) {
 }
 
 Timestamp SlidingWindowJoinOperator::MinBufferedTs() const {
-  // Exact: Process/ProcessColumnar fold arrivals in, EvictBefore
-  // re-derives after removals, and those are the only buffer mutations.
+  // Exact: Process folds arrivals in, EvictBefore re-derives after
+  // removals, and those are the only buffer mutations.
   return min_buffered_ts_;
 }
 

@@ -67,10 +67,6 @@ class SlidingWindowJoinOperator : public Operator {
     traits.drains_on_final_watermark = true;
     traits.predicate = &condition_;  // positional over the joined tuple
     traits.selectivity_bound = selectivity_bound_;
-    // Window buffers are SoA (per-side ColumnarBatch): arriving column
-    // blocks append column-wise via ProcessColumnar, so upstream edges —
-    // including hash edges, via PartitionByKey — may carry blocks whole.
-    traits.columnar_capable = true;
     return traits;
   }
 
@@ -80,14 +76,6 @@ class SlidingWindowJoinOperator : public Operator {
 
   Status Open() override;
   Status Process(int input, Tuple tuple, Collector* out) override;
-
-  /// Columnar ingest: appends the block's rows column-wise into the
-  /// per-(key, side) SoA window buffers — one StateForKey lookup and one
-  /// contiguous per-column insert per run of equal keys, instead of a
-  /// RowTuple gather + per-tuple Process per row. Hash-partitioned and
-  /// constant-key (cartesian) inputs arrive as long runs.
-  Status ProcessColumnar(int input, std::unique_ptr<ColumnarBatch> block,
-                         Collector* out) override;
 
   Status OnWatermark(Timestamp watermark, Collector* out) override;
   size_t StateBytes() const override { return state_bytes_; }
@@ -157,11 +145,6 @@ class SlidingWindowJoinOperator : public Operator {
   static size_t RowBytes(size_t arity) {
     return sizeof(Tuple) + (arity > 4 ? arity * sizeof(SimpleEvent) : 0);
   }
-
-  /// Appends rows [begin, end) of `block` (all one key) to `side`,
-  /// maintaining the sorted flag and the min-ts caches.
-  void AppendRun(SideBuffer* side, const ColumnarBatch& block, size_t begin,
-                 size_t end);
 
   void FireWindows(Timestamp watermark, Collector* out);
   void FireWindow(int64_t k, Collector* out);

@@ -7,20 +7,6 @@
 #include "common/logging.h"
 #include "common/strings.h"
 
-// Explicit SIMD kernels for the columnar comparison loops: SSE2 is
-// unconditional on x86-64, AVX2 is compiled with a per-function target
-// attribute and selected at runtime via __builtin_cpu_supports, so no
-// -mavx2 build flag is needed. CEP2ASP_SIMD (a CMake option) gates the
-// whole block; without it the scalar loops below remain — they carry the
-// same semantics and still auto-vectorize under -O3.
-#if defined(CEP2ASP_SIMD) && defined(__x86_64__) && defined(__SSE2__) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define CEP2ASP_EXPR_SIMD 1
-#include <immintrin.h>
-#else
-#define CEP2ASP_EXPR_SIMD 0
-#endif
-
 namespace cep2asp {
 namespace {
 
@@ -501,240 +487,6 @@ void ExprProgram::RunBatch(Tuple* first, size_t stride_bytes, size_t count,
         return;
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// Columnar (SoA) execution
-
-namespace {
-
-#if CEP2ASP_EXPR_SIMD
-
-/// Generates the four kernels of one comparator: {column vs constant,
-/// column vs column + offset} x {SSE2, AVX2}. The compare intrinsics
-/// implement exactly EvalCmp's IEEE semantics: ordered predicates
-/// (LT/LE/GT/GE/EQ) are false on NaN operands, NEQ is unordered-true —
-/// the same truth table as the C operators in EvalCmp. The movemask sign
-/// bits become per-row bytes ANDed into the selection mask; the scalar
-/// tail finishes rows past the last full vector.
-#define CEP2ASP_DEF_SIMD_CMP(NAME, SCALAR_OP, SSE_CMP, AVX_IMM)               \
-  void NAME##ConstSse2(const double* lhs, double rhs, size_t n,               \
-                       uint8_t* mask) {                                       \
-    const __m128d vr = _mm_set1_pd(rhs);                                      \
-    size_t i = 0;                                                             \
-    for (; i + 2 <= n; i += 2) {                                              \
-      const int m = _mm_movemask_pd(SSE_CMP(_mm_loadu_pd(lhs + i), vr));      \
-      mask[i] &= static_cast<uint8_t>(m & 1);                                 \
-      mask[i + 1] &= static_cast<uint8_t>((m >> 1) & 1);                      \
-    }                                                                         \
-    for (; i < n; ++i) {                                                      \
-      mask[i] &= static_cast<uint8_t>(lhs[i] SCALAR_OP rhs);                  \
-    }                                                                         \
-  }                                                                           \
-  void NAME##ColsSse2(const double* lhs, const double* rhs, double offset,    \
-                      size_t n, uint8_t* mask) {                              \
-    const __m128d voff = _mm_set1_pd(offset);                                 \
-    size_t i = 0;                                                             \
-    for (; i + 2 <= n; i += 2) {                                              \
-      const __m128d vr = _mm_add_pd(_mm_loadu_pd(rhs + i), voff);             \
-      const int m = _mm_movemask_pd(SSE_CMP(_mm_loadu_pd(lhs + i), vr));      \
-      mask[i] &= static_cast<uint8_t>(m & 1);                                 \
-      mask[i + 1] &= static_cast<uint8_t>((m >> 1) & 1);                      \
-    }                                                                         \
-    for (; i < n; ++i) {                                                      \
-      mask[i] &= static_cast<uint8_t>(lhs[i] SCALAR_OP(rhs[i] + offset));     \
-    }                                                                         \
-  }                                                                           \
-  __attribute__((target("avx2"))) void NAME##ConstAvx2(                       \
-      const double* lhs, double rhs, size_t n, uint8_t* mask) {               \
-    const __m256d vr = _mm256_set1_pd(rhs);                                   \
-    size_t i = 0;                                                             \
-    for (; i + 4 <= n; i += 4) {                                              \
-      const int m = _mm256_movemask_pd(                                       \
-          _mm256_cmp_pd(_mm256_loadu_pd(lhs + i), vr, AVX_IMM));              \
-      mask[i] &= static_cast<uint8_t>(m & 1);                                 \
-      mask[i + 1] &= static_cast<uint8_t>((m >> 1) & 1);                      \
-      mask[i + 2] &= static_cast<uint8_t>((m >> 2) & 1);                      \
-      mask[i + 3] &= static_cast<uint8_t>((m >> 3) & 1);                      \
-    }                                                                         \
-    for (; i < n; ++i) {                                                      \
-      mask[i] &= static_cast<uint8_t>(lhs[i] SCALAR_OP rhs);                  \
-    }                                                                         \
-  }                                                                           \
-  __attribute__((target("avx2"))) void NAME##ColsAvx2(                        \
-      const double* lhs, const double* rhs, double offset, size_t n,          \
-      uint8_t* mask) {                                                        \
-    const __m256d voff = _mm256_set1_pd(offset);                              \
-    size_t i = 0;                                                             \
-    for (; i + 4 <= n; i += 4) {                                              \
-      const __m256d vr = _mm256_add_pd(_mm256_loadu_pd(rhs + i), voff);       \
-      const int m = _mm256_movemask_pd(                                       \
-          _mm256_cmp_pd(_mm256_loadu_pd(lhs + i), vr, AVX_IMM));              \
-      mask[i] &= static_cast<uint8_t>(m & 1);                                 \
-      mask[i + 1] &= static_cast<uint8_t>((m >> 1) & 1);                      \
-      mask[i + 2] &= static_cast<uint8_t>((m >> 2) & 1);                      \
-      mask[i + 3] &= static_cast<uint8_t>((m >> 3) & 1);                      \
-    }                                                                         \
-    for (; i < n; ++i) {                                                      \
-      mask[i] &= static_cast<uint8_t>(lhs[i] SCALAR_OP(rhs[i] + offset));     \
-    }                                                                         \
-  }
-
-CEP2ASP_DEF_SIMD_CMP(Lt, <, _mm_cmplt_pd, _CMP_LT_OQ)
-CEP2ASP_DEF_SIMD_CMP(Le, <=, _mm_cmple_pd, _CMP_LE_OQ)
-CEP2ASP_DEF_SIMD_CMP(Gt, >, _mm_cmpgt_pd, _CMP_GT_OQ)
-CEP2ASP_DEF_SIMD_CMP(Ge, >=, _mm_cmpge_pd, _CMP_GE_OQ)
-CEP2ASP_DEF_SIMD_CMP(Eq, ==, _mm_cmpeq_pd, _CMP_EQ_OQ)
-CEP2ASP_DEF_SIMD_CMP(Ne, !=, _mm_cmpneq_pd, _CMP_NEQ_UQ)
-#undef CEP2ASP_DEF_SIMD_CMP
-
-/// Kernel table indexed by CmpOp; resolved once per process to AVX2 when
-/// the CPU supports it, SSE2 otherwise.
-struct SimdKernels {
-  using ConstFn = void (*)(const double*, double, size_t, uint8_t*);
-  using ColsFn = void (*)(const double*, const double*, double, size_t,
-                          uint8_t*);
-  ConstFn cmp_const[6] = {};
-  ColsFn cmp_cols[6] = {};
-};
-
-const SimdKernels& Kernels() {
-  static const SimdKernels kernels = [] {
-    SimdKernels k;
-    if (__builtin_cpu_supports("avx2")) {
-      k.cmp_const[0] = LtConstAvx2;
-      k.cmp_const[1] = LeConstAvx2;
-      k.cmp_const[2] = GtConstAvx2;
-      k.cmp_const[3] = GeConstAvx2;
-      k.cmp_const[4] = EqConstAvx2;
-      k.cmp_const[5] = NeConstAvx2;
-      k.cmp_cols[0] = LtColsAvx2;
-      k.cmp_cols[1] = LeColsAvx2;
-      k.cmp_cols[2] = GtColsAvx2;
-      k.cmp_cols[3] = GeColsAvx2;
-      k.cmp_cols[4] = EqColsAvx2;
-      k.cmp_cols[5] = NeColsAvx2;
-    } else {
-      k.cmp_const[0] = LtConstSse2;
-      k.cmp_const[1] = LeConstSse2;
-      k.cmp_const[2] = GtConstSse2;
-      k.cmp_const[3] = GeConstSse2;
-      k.cmp_const[4] = EqConstSse2;
-      k.cmp_const[5] = NeConstSse2;
-      k.cmp_cols[0] = LtColsSse2;
-      k.cmp_cols[1] = LeColsSse2;
-      k.cmp_cols[2] = GtColsSse2;
-      k.cmp_cols[3] = GeColsSse2;
-      k.cmp_cols[4] = EqColsSse2;
-      k.cmp_cols[5] = NeColsSse2;
-    }
-    return k;
-  }();
-  return kernels;
-}
-
-#endif  // CEP2ASP_EXPR_SIMD
-
-/// mask[i] &= (lhs[i] op rhs), over a contiguous column.
-void MaskCmpColConst(CmpOp op, const double* lhs, double rhs, size_t n,
-                     uint8_t* mask) {
-#if CEP2ASP_EXPR_SIMD
-  Kernels().cmp_const[static_cast<size_t>(op)](lhs, rhs, n, mask);
-#else
-  WithCmp(op, [&](auto cmp) {
-    for (size_t i = 0; i < n; ++i) {
-      mask[i] &= static_cast<uint8_t>(cmp(lhs[i], rhs));
-    }
-  });
-#endif
-}
-
-/// mask[i] &= (lhs[i] op rhs[i] + offset), over two contiguous columns.
-/// offset 0.0 is exact for every operand (x + 0.0 compares equal to x,
-/// NaN stays NaN), matching the row-major path which adds it too.
-void MaskCmpCols(CmpOp op, const double* lhs, const double* rhs, double offset,
-                 size_t n, uint8_t* mask) {
-#if CEP2ASP_EXPR_SIMD
-  Kernels().cmp_cols[static_cast<size_t>(op)](lhs, rhs, offset, n, mask);
-#else
-  WithCmp(op, [&](auto cmp) {
-    for (size_t i = 0; i < n; ++i) {
-      mask[i] &= static_cast<uint8_t>(cmp(lhs[i], rhs[i] + offset));
-    }
-  });
-#endif
-}
-
-}  // namespace
-
-bool ExprProgram::IsColumnarExecutable() const {
-  if (!ok_) return false;
-  for (const ExprInsn& insn : code_) {
-    switch (insn.op) {
-      case ExprOp::kCmpAttrConstFail:
-      case ExprOp::kCmpAttrAttrFail:
-      case ExprOp::kCmpAttrAttrOffFail:
-      case ExprOp::kStoreKeyAttr:
-      case ExprOp::kStoreKeyConst:
-      case ExprOp::kHalt:
-        break;
-      default:
-        return false;  // stack-form opcode: row-major execution only
-    }
-  }
-  return true;
-}
-
-bool ExprProgram::RunColumnar(const ExprColumnarView& view) const {
-  if (!IsColumnarExecutable()) return false;
-  uint8_t* mask = view.mask;
-  const size_t n = view.count;
-  std::memset(mask, 1, n);
-  for (const ExprInsn& insn : code_) {
-    switch (insn.op) {
-      case ExprOp::kCmpAttrConstFail: {
-        CEP2ASP_DCHECK(insn.a < view.num_slots) << "expr var out of range";
-        const double* lhs = view.attr_cols[insn.a * kNumEventAttrs + insn.b];
-        MaskCmpColConst(static_cast<CmpOp>(insn.c), lhs, const_pool_[insn.imm],
-                        n, mask);
-        break;
-      }
-      case ExprOp::kCmpAttrAttrFail:
-      case ExprOp::kCmpAttrAttrOffFail: {
-        CEP2ASP_DCHECK(insn.a < view.num_slots && insn.d < view.num_slots)
-            << "expr var out of range";
-        const double* lhs = view.attr_cols[insn.a * kNumEventAttrs + insn.b];
-        const double* rhs = view.attr_cols[insn.d * kNumEventAttrs + insn.e];
-        const double offset = insn.op == ExprOp::kCmpAttrAttrOffFail
-                                  ? const_pool_[insn.imm]
-                                  : 0.0;
-        MaskCmpCols(static_cast<CmpOp>(insn.c), lhs, rhs, offset, n, mask);
-        break;
-      }
-      case ExprOp::kStoreKeyAttr: {
-        if (view.keys == nullptr) break;
-        CEP2ASP_DCHECK(insn.a < view.num_slots) << "expr var out of range";
-        const double* col = view.attr_cols[insn.a * kNumEventAttrs + insn.b];
-        for (size_t i = 0; i < n; ++i) {
-          if (mask[i]) view.keys[i] = AttributeToKey(col[i]);
-        }
-        break;
-      }
-      case ExprOp::kStoreKeyConst: {
-        if (view.keys == nullptr) break;
-        const int64_t key = key_pool_[insn.imm];
-        for (size_t i = 0; i < n; ++i) {
-          if (mask[i]) view.keys[i] = key;
-        }
-        break;
-      }
-      case ExprOp::kHalt:
-        return true;
-      default:
-        return false;  // unreachable: gated by IsColumnarExecutable
-    }
-  }
-  return true;
 }
 
 bool ExprProgram::Run(Tuple* tuple) const {

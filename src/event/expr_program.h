@@ -69,25 +69,6 @@ struct ExprInsn {
   uint8_t pad = 0;
 };
 
-/// \brief Borrowed columnar (SoA) view a program executes against:
-/// per-(event slot, attribute) contiguous double columns instead of
-/// strided row-major tuples. Raw pointers only — the runtime's
-/// ColumnarBatch produces one, but this layer stays free of runtime
-/// dependencies.
-///
-/// `attr_cols[slot * kNumEventAttrs + attr]` points at `count` doubles
-/// holding that attribute for every row. `keys` (may be null to skip key
-/// stores) receives kStoreKey* side effects for rows whose mask is still
-/// set. `mask` has `count` bytes and is fully (re)initialized by
-/// RunColumnar.
-struct ExprColumnarView {
-  const double* const* attr_cols = nullptr;
-  size_t num_slots = 0;
-  int64_t* keys = nullptr;
-  size_t count = 0;
-  uint8_t* mask = nullptr;
-};
-
 /// \brief A compiled predicate / key-assignment: the "compile, don't
 /// interpret" replacement for Predicate::EvalOnTuple + MapOperator key
 /// lambdas on translator-generated stateless prefixes.
@@ -159,26 +140,6 @@ class ExprProgram {
   /// this path is tests-only).
   void RunBatch(Tuple* first, size_t stride_bytes, size_t count,
                 uint8_t* mask) const;
-
-  /// Columnar execution: runs the program over SoA columns (see
-  /// ExprColumnarView). Each fused term opcode becomes one tight loop
-  /// over two contiguous double columns ANDing into the mask — unlike
-  /// RunBatch's strided tuple loads this vectorizes (explicit SSE2/AVX2
-  /// kernels when built with CEP2ASP_SIMD, auto-vectorizable scalar loops
-  /// otherwise). Comparison semantics are bit-identical to EvalCmp
-  /// including IEEE NaN ordering (every comparison but != is false).
-  ///
-  /// Only fused-form programs are columnar-executable; returns false
-  /// without touching the mask when the program contains stack-form
-  /// opcodes (callers gate on IsColumnarExecutable and fall back to the
-  /// row-major path). Returns true after writing mask[0..count) and
-  /// applying key stores to still-masked rows.
-  bool RunColumnar(const ExprColumnarView& view) const;
-
-  /// True when every instruction has a columnar kernel (fused terms, key
-  /// stores, halt) — i.e. RunColumnar will execute it. Stack-form
-  /// programs (tests / differential corpora) are not.
-  bool IsColumnarExecutable() const;
 
   /// Runs the filter portion against positional events without a tuple;
   /// key stores are skipped. For tests and join-condition reuse.

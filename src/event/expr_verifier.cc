@@ -115,25 +115,4 @@ Status ExprVerifier::Verify(const ExprProgram& program, size_t max_events) {
   return Status::OK();
 }
 
-Status ExprVerifier::VerifyColumnar(const ExprProgram& program,
-                                    size_t max_events) {
-  Status base = Verify(program, max_events);
-  if (!base.ok()) return base;
-  const std::vector<ExprInsn>& code = program.code();
-  for (size_t pc = 0; pc < code.size(); ++pc) {
-    switch (code[pc].op) {
-      case ExprOp::kCmpAttrConstFail:
-      case ExprOp::kCmpAttrAttrFail:
-      case ExprOp::kCmpAttrAttrOffFail:
-      case ExprOp::kStoreKeyAttr:
-      case ExprOp::kStoreKeyConst:
-      case ExprOp::kHalt:
-        break;
-      default:
-        return Bad(pc, "stack-form opcode is not columnar-executable");
-    }
-  }
-  return Status::OK();
-}
-
 }  // namespace cep2asp

@@ -47,19 +47,6 @@ class ExprVerifier {
   /// `max_events == 1`; positional programs pass the pattern arity.
   /// Returns OK or an InvalidArgument naming the offending instruction.
   static Status Verify(const ExprProgram& program, size_t max_events);
-
-  /// Verifies `program` for the columnar execution mode (RunColumnar
-  /// against an ExprColumnarView of `max_events` event slots): everything
-  /// Verify checks, plus every opcode must have a columnar kernel —
-  /// stack-form instructions are rejected by name. The shared operand
-  /// bounds double as column bounds: an event operand < max_events and an
-  /// attribute slot <= kAuxTs together bound the column index
-  /// `event * kNumEventAttrs + attr` below the view's
-  /// `max_events * kNumEventAttrs` columns, and RunColumnar's mask is
-  /// always written for exactly `count` rows (its width invariant needs
-  /// no per-instruction check because fused terms never index the mask
-  /// beyond the row loop).
-  static Status VerifyColumnar(const ExprProgram& program, size_t max_events);
 };
 
 }  // namespace cep2asp

@@ -54,30 +54,18 @@ class Channel {
     const size_t fill = batch->size();
     const bool stamp = batch->hdr_valid;
     int64_t data = 0;
-    int64_t blocks = 0;
-    int64_t block_rows = 0;
     for (Message& msg : *batch) {
       if (stamp) {
         msg.port = batch->hdr_port;
         msg.slot = batch->hdr_slot;
       }
-      if (msg.kind == MessageKind::kTuple) {
-        ++data;
-      } else if (msg.kind == MessageKind::kColumnar) {
-        data += msg.columnar_rows;  // a block counts its rows as tuples
-        ++blocks;
-        block_rows += msg.columnar_rows;
-      }
+      if (msg.kind == MessageKind::kTuple) ++data;
     }
     int64_t blocked = 0;
     const bool ok = DoPushBatch(batch, &blocked);
     batches_.fetch_add(1, std::memory_order_relaxed);
     messages_.fetch_add(static_cast<int64_t>(fill), std::memory_order_relaxed);
     if (data > 0) tuples_.fetch_add(data, std::memory_order_relaxed);
-    if (blocks > 0) {
-      columnar_blocks_.fetch_add(blocks, std::memory_order_relaxed);
-      columnar_rows_.fetch_add(block_rows, std::memory_order_relaxed);
-    }
     fill_hist_[ChannelStats::FillBucket(fill)].fetch_add(
         1, std::memory_order_relaxed);
     if (blocked > 0) {
@@ -117,25 +105,12 @@ class Channel {
       // Scalar members survive the element move, so the moved prefix is
       // still countable before we erase it.
       int64_t data = 0;
-      int64_t blocks = 0;
-      int64_t block_rows = 0;
       for (size_t i = 0; i < moved; ++i) {
-        const Message& msg = (*batch)[i];
-        if (msg.kind == MessageKind::kTuple) {
-          ++data;
-        } else if (msg.kind == MessageKind::kColumnar) {
-          data += msg.columnar_rows;
-          ++blocks;
-          block_rows += msg.columnar_rows;
-        }
+        if ((*batch)[i].kind == MessageKind::kTuple) ++data;
       }
       messages_.fetch_add(static_cast<int64_t>(moved),
                           std::memory_order_relaxed);
       if (data > 0) tuples_.fetch_add(data, std::memory_order_relaxed);
-      if (blocks > 0) {
-        columnar_blocks_.fetch_add(blocks, std::memory_order_relaxed);
-        columnar_rows_.fetch_add(block_rows, std::memory_order_relaxed);
-      }
       batch->erase(batch->begin(), batch->begin() + moved);
       if (on_push_) on_push_();
     }
@@ -199,9 +174,6 @@ class Channel {
     stats.batches = batches_.load(std::memory_order_relaxed);
     stats.messages = messages_.load(std::memory_order_relaxed);
     stats.tuples = tuples_.load(std::memory_order_relaxed);
-    stats.columnar_blocks = columnar_blocks_.load(std::memory_order_relaxed);
-    stats.columnar_rows = columnar_rows_.load(std::memory_order_relaxed);
-    stats.scattered_rows = scattered_rows_.load(std::memory_order_relaxed);
     stats.blocked_push_nanos = blocked_push_nanos_.load(std::memory_order_relaxed);
     for (int i = 0; i < ChannelStats::kFillBuckets; ++i) {
       stats.fill_hist[i] = fill_hist_[i].load(std::memory_order_relaxed);
@@ -221,21 +193,10 @@ class Channel {
   virtual size_t DoTryPopBatch(MessageBatch* out, size_t max_messages,
                                bool* end_of_stream) = 0;
 
- public:
-  /// Producer-side attribution of rows a columnar producer had to scatter
-  /// into per-tuple messages because this channel's edge could not carry
-  /// blocks (see RoutingCollector::EmitColumnar). Subset of `tuples`.
-  void AddScatteredRows(int64_t n) {
-    scattered_rows_.fetch_add(n, std::memory_order_relaxed);
-  }
-
  private:
   std::atomic<int64_t> batches_{0};
   std::atomic<int64_t> messages_{0};
   std::atomic<int64_t> tuples_{0};
-  std::atomic<int64_t> columnar_blocks_{0};
-  std::atomic<int64_t> columnar_rows_{0};
-  std::atomic<int64_t> scattered_rows_{0};
   std::atomic<int64_t> blocked_push_nanos_{0};
   std::atomic<int64_t> fill_hist_[ChannelStats::kFillBuckets] = {};
   std::function<void()> on_push_;
@@ -309,11 +270,12 @@ class SpscChannel : public Channel {
 };
 
 /// Builds the right channel for an input fed by `num_producers` upstream
-/// threads. `capacity_messages` bounds in-flight messages (backpressure).
+/// producers (its physical fan-in): the SPSC ring for exactly one, the
+/// mutex queue otherwise. `capacity_messages` bounds in-flight messages
+/// (backpressure).
 inline std::unique_ptr<Channel> MakeChannel(int num_producers,
-                                            size_t capacity_messages,
-                                            bool enable_spsc) {
-  if (enable_spsc && num_producers == 1) {
+                                            size_t capacity_messages) {
+  if (num_producers == 1) {
     return std::make_unique<SpscChannel>(capacity_messages);
   }
   return std::make_unique<MpmcChannel>(capacity_messages);

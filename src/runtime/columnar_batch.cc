@@ -4,7 +4,6 @@
 #include <numeric>
 
 #include "common/logging.h"
-#include "runtime/job_graph.h"
 
 namespace cep2asp {
 
@@ -20,16 +19,6 @@ void ColumnarBatch::Reset(size_t num_slots) {
   for (std::vector<Timestamp>& col : create_ts_cols_) col.clear();
   keys_.clear();
   event_times_.clear();
-  mask_.clear();
-}
-
-void ColumnarBatch::Reserve(size_t rows) {
-  for (std::vector<double>& col : attr_cols_) col.reserve(rows);
-  for (std::vector<EventTypeId>& col : type_cols_) col.reserve(rows);
-  for (std::vector<Timestamp>& col : create_ts_cols_) col.reserve(rows);
-  keys_.reserve(rows);
-  event_times_.reserve(rows);
-  mask_.reserve(rows);
 }
 
 void ColumnarBatch::AppendTuple(const Tuple& tuple) {
@@ -49,7 +38,6 @@ void ColumnarBatch::AppendTuple(const Tuple& tuple) {
   }
   keys_.push_back(tuple.key());
   event_times_.push_back(tuple.event_time());
-  mask_.push_back(1);
   ++rows_;
 }
 
@@ -89,36 +77,6 @@ SimpleEvent ColumnarBatch::RowEvent(size_t slot, size_t i) const {
   return e;
 }
 
-void ColumnarBatch::AppendRows(const ColumnarBatch& src, size_t begin,
-                               size_t end) {
-  CEP2ASP_DCHECK(src.num_slots_ == num_slots_)
-      << "source shape " << src.num_slots_ << " vs " << num_slots_;
-  CEP2ASP_DCHECK(begin <= end && end <= src.rows_);
-  if (begin >= end) return;
-  const size_t n = end - begin;
-  for (size_t c = 0; c < attr_cols_.size(); ++c) {
-    attr_cols_[c].insert(attr_cols_[c].end(),
-                         src.attr_cols_[c].begin() + static_cast<ptrdiff_t>(begin),
-                         src.attr_cols_[c].begin() + static_cast<ptrdiff_t>(end));
-  }
-  for (size_t s = 0; s < num_slots_; ++s) {
-    type_cols_[s].insert(type_cols_[s].end(),
-                         src.type_cols_[s].begin() + static_cast<ptrdiff_t>(begin),
-                         src.type_cols_[s].begin() + static_cast<ptrdiff_t>(end));
-    create_ts_cols_[s].insert(
-        create_ts_cols_[s].end(),
-        src.create_ts_cols_[s].begin() + static_cast<ptrdiff_t>(begin),
-        src.create_ts_cols_[s].begin() + static_cast<ptrdiff_t>(end));
-  }
-  keys_.insert(keys_.end(), src.keys_.begin() + static_cast<ptrdiff_t>(begin),
-               src.keys_.begin() + static_cast<ptrdiff_t>(end));
-  event_times_.insert(event_times_.end(),
-                      src.event_times_.begin() + static_cast<ptrdiff_t>(begin),
-                      src.event_times_.begin() + static_cast<ptrdiff_t>(end));
-  mask_.insert(mask_.end(), n, static_cast<uint8_t>(1));
-  rows_ += n;
-}
-
 void ColumnarBatch::ErasePrefix(size_t n) {
   if (n == 0) return;
   CEP2ASP_DCHECK(n <= rows_);
@@ -134,7 +92,6 @@ void ColumnarBatch::ErasePrefix(size_t n) {
   }
   keys_.erase(keys_.begin(), keys_.begin() + d);
   event_times_.erase(event_times_.begin(), event_times_.begin() + d);
-  mask_.erase(mask_.begin(), mask_.begin() + d);
   rows_ -= n;
 }
 
@@ -177,132 +134,6 @@ void ColumnarBatch::StableSortByEventTime(size_t from) {
   }
   ApplyPermutation(&keys_, from, perm);
   ApplyPermutation(&event_times_, from, perm);
-  ApplyPermutation(&mask_, from, perm);
-}
-
-std::vector<std::unique_ptr<ColumnarBatch>> ColumnarBatch::PartitionByKey(
-    int parallelism) const {
-  const size_t p = static_cast<size_t>(parallelism < 1 ? 1 : parallelism);
-  std::vector<std::unique_ptr<ColumnarBatch>> parts(p);
-  if (rows_ == 0) return parts;
-  // Route the whole key column batch-wise (the SIMD splitmix64 kernel),
-  // then gather column by column: each bucket receives its rows in stream
-  // order, so per-subtask sequences match the row-at-a-time scatter
-  // exactly.
-  std::vector<int32_t> target(rows_);
-  KeyToSubtaskBatch(keys_.data(), rows_, static_cast<int>(p), target.data());
-  // Per-row destination slot within its bucket, so every column pass is a
-  // branch-light scatter into pre-sized destination columns — no
-  // per-element capacity checks or size bookkeeping.
-  std::vector<uint32_t> pos(rows_);
-  std::vector<size_t> counts(p, 0);
-  for (size_t i = 0; i < rows_; ++i) {
-    if (mask_[i]) {
-      pos[i] =
-          static_cast<uint32_t>(counts[static_cast<size_t>(target[i])]++);
-    }
-  }
-  for (size_t s = 0; s < p; ++s) {
-    if (counts[s] == 0) continue;
-    parts[s] = std::make_unique<ColumnarBatch>(num_slots_);
-    for (std::vector<double>& col : parts[s]->attr_cols_) col.resize(counts[s]);
-    for (std::vector<EventTypeId>& col : parts[s]->type_cols_) {
-      col.resize(counts[s]);
-    }
-    for (std::vector<Timestamp>& col : parts[s]->create_ts_cols_) {
-      col.resize(counts[s]);
-    }
-    parts[s]->keys_.resize(counts[s]);
-    parts[s]->event_times_.resize(counts[s]);
-    parts[s]->mask_.assign(counts[s], 1);
-    parts[s]->rows_ = counts[s];
-  }
-  std::vector<void*> dst(p);
-  auto scatter = [&](auto dst_col_of, const auto& src_col) {
-    using T = typename std::decay_t<decltype(src_col)>::value_type;
-    for (size_t s = 0; s < p; ++s) {
-      dst[s] = parts[s] ? dst_col_of(*parts[s]).data() : nullptr;
-    }
-    for (size_t i = 0; i < rows_; ++i) {
-      if (!mask_[i]) continue;
-      static_cast<T*>(dst[static_cast<size_t>(target[i])])[pos[i]] =
-          src_col[i];
-    }
-  };
-  for (size_t c = 0; c < attr_cols_.size(); ++c) {
-    scatter([c](ColumnarBatch& b) -> std::vector<double>& {
-      return b.attr_cols_[c];
-    }, attr_cols_[c]);
-  }
-  for (size_t s = 0; s < num_slots_; ++s) {
-    scatter([s](ColumnarBatch& b) -> std::vector<EventTypeId>& {
-      return b.type_cols_[s];
-    }, type_cols_[s]);
-    scatter([s](ColumnarBatch& b) -> std::vector<Timestamp>& {
-      return b.create_ts_cols_[s];
-    }, create_ts_cols_[s]);
-  }
-  scatter([](ColumnarBatch& b) -> std::vector<int64_t>& { return b.keys_; },
-          keys_);
-  scatter([](ColumnarBatch& b) -> std::vector<Timestamp>& {
-    return b.event_times_;
-  }, event_times_);
-  return parts;
-}
-
-size_t ColumnarBatch::Compact() {
-  size_t kept = 0;
-  for (size_t i = 0; i < rows_; ++i) {
-    if (!mask_[i]) continue;
-    if (kept != i) {
-      for (std::vector<double>& col : attr_cols_) col[kept] = col[i];
-      for (std::vector<EventTypeId>& col : type_cols_) col[kept] = col[i];
-      for (std::vector<Timestamp>& col : create_ts_cols_) col[kept] = col[i];
-      keys_[kept] = keys_[i];
-      event_times_[kept] = event_times_[i];
-    }
-    mask_[kept] = 1;
-    ++kept;
-  }
-  for (std::vector<double>& col : attr_cols_) col.resize(kept);
-  for (std::vector<EventTypeId>& col : type_cols_) col.resize(kept);
-  for (std::vector<Timestamp>& col : create_ts_cols_) col.resize(kept);
-  keys_.resize(kept);
-  event_times_.resize(kept);
-  mask_.resize(kept);
-  rows_ = kept;
-  return kept;
-}
-
-ExprColumnarView ColumnarBatch::View() {
-  col_ptrs_.resize(attr_cols_.size());
-  for (size_t c = 0; c < attr_cols_.size(); ++c) {
-    col_ptrs_[c] = attr_cols_[c].data();
-  }
-  ExprColumnarView view;
-  view.attr_cols = col_ptrs_.data();
-  view.num_slots = num_slots_;
-  view.keys = keys_.data();
-  view.count = rows_;
-  view.mask = mask_.data();
-  return view;
-}
-
-size_t ColumnarBatch::MemoryBytes() const {
-  size_t bytes = sizeof(ColumnarBatch);
-  for (const std::vector<double>& col : attr_cols_) {
-    bytes += col.capacity() * sizeof(double);
-  }
-  for (const std::vector<EventTypeId>& col : type_cols_) {
-    bytes += col.capacity() * sizeof(EventTypeId);
-  }
-  for (const std::vector<Timestamp>& col : create_ts_cols_) {
-    bytes += col.capacity() * sizeof(Timestamp);
-  }
-  bytes += keys_.capacity() * sizeof(int64_t);
-  bytes += event_times_.capacity() * sizeof(Timestamp);
-  bytes += mask_.capacity();
-  return bytes;
 }
 
 }  // namespace cep2asp

@@ -3,38 +3,30 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "event/event.h"
-#include "event/expr_program.h"
 
 namespace cep2asp {
 
-/// \brief Columnar (struct-of-arrays) micro-batch: the SoA counterpart of
-/// a homogeneous run of data Messages.
+/// \brief Columnar (struct-of-arrays) row store: the window buffer of
+/// SlidingWindowJoinOperator.
 ///
 /// A row is one Tuple of `num_slots` events. Per (event slot, attribute)
-/// the batch keeps one contiguous double column — the layout
-/// ExprProgram::RunColumnar executes against, where each fused term
-/// opcode becomes one vectorizable loop over two columns instead of a
-/// 280-byte-strided walk over row-major Messages. The remaining event
-/// fields that the six double attributes cannot carry (the EventTypeId
-/// and the wall-clock create_ts) ride in per-slot sidecar columns, and
-/// tuple-level identity (partition key, event time) in exact int64
-/// columns, so a gather -> scatter round trip reproduces every row
-/// bit-for-bit. id/ts/aux_ts travel as doubles under the documented
-/// GetAttribute contract (timestamps are exact in double for the ranges
-/// this library produces); partition keys stay exact int64 because key
-/// pools may exceed 2^53.
-///
-/// The validity/selection mask is the filter interface: RunColumnar
-/// writes it, Compact() drops unselected rows in place, and a full batch
-/// travels as one Message envelope (MessageKind::kColumnar) over a
-/// Channel — one ring slot per block instead of one per tuple.
+/// the store keeps one contiguous double column; the event fields that the
+/// six double attributes cannot carry (the EventTypeId and the wall-clock
+/// create_ts) ride in per-slot sidecar columns, and tuple-level identity
+/// (partition key, event time) in exact int64 columns, so an append ->
+/// RowTuple round trip reproduces every row bit-for-bit. id/ts/aux_ts
+/// travel as doubles under the documented GetAttribute contract
+/// (timestamps are exact in double for the ranges this library produces);
+/// partition keys stay exact int64 because key pools may exceed 2^53.
+/// The contiguous event-time column is what the join's range binary
+/// searches walk.
 class ColumnarBatch {
  public:
-  explicit ColumnarBatch(size_t num_slots = 1) { Reset(num_slots); }
+  ColumnarBatch() { Reset(1); }
+  explicit ColumnarBatch(size_t num_slots) { Reset(num_slots); }
 
   /// Re-shapes to `num_slots` events per row and clears all rows; column
   /// capacity is kept, so a recycled batch allocates nothing.
@@ -46,24 +38,16 @@ class ColumnarBatch {
   size_t rows() const { return rows_; }
   bool empty() const { return rows_ == 0; }
 
-  void Reserve(size_t rows);
-
   /// Gathers one tuple into the columns. The tuple's arity must equal
-  /// num_slots(); its mask starts selected.
+  /// num_slots().
   void AppendTuple(const Tuple& tuple);
 
-  /// Scatters row `i` back into a row-major Tuple (the shim at a
-  /// columnar -> row-major boundary).
+  /// Scatters row `i` back into a row-major Tuple.
   Tuple RowTuple(size_t i) const;
 
   /// Scatters the event at (slot, row) without building a Tuple — the
   /// cheap gather the join probe uses to fill its scratch pair.
   SimpleEvent RowEvent(size_t slot, size_t i) const;
-
-  /// Column-wise append of rows [begin, end) of `src` (same num_slots),
-  /// ignoring src's mask; appended rows start selected. One contiguous
-  /// insert per column — the SoA ingest path of stateful consumers.
-  void AppendRows(const ColumnarBatch& src, size_t begin, size_t end);
 
   /// Drops the first `n` rows from every column (dead-prefix reclaim of
   /// SoA window buffers).
@@ -74,37 +58,8 @@ class ColumnarBatch {
   /// producers interleaved their (per-producer ordered) streams.
   void StableSortByEventTime(size_t from);
 
-  /// Splits the selected rows into `parallelism` sub-blocks by the routing
-  /// of the exact int64 key column — bucket s receives, in order, every
-  /// row with KeyToSubtask(key, parallelism) == s (computed batch-wise,
-  /// SIMD under CEP2ASP_SIMD). Empty buckets stay null. This is how a hash
-  /// edge ships P whole blocks instead of scattering rows one message at a
-  /// time.
-  std::vector<std::unique_ptr<ColumnarBatch>> PartitionByKey(
-      int parallelism) const;
-
-  /// Drops every row whose mask byte is 0, keeping the survivors' order,
-  /// and re-selects them. Returns the surviving row count.
-  size_t Compact();
-
-  /// Borrowed execution view for ExprProgram::RunColumnar. Valid until
-  /// the next mutating call; key stores write the key column.
-  ExprColumnarView View();
-
-  uint8_t* mask() { return mask_.data(); }
-  const uint8_t* mask() const { return mask_.data(); }
-  int64_t* keys() { return keys_.data(); }
-  const int64_t* keys() const { return keys_.data(); }
   const Timestamp* event_times() const { return event_times_.data(); }
   Timestamp event_time(size_t i) const { return event_times_[i]; }
-
-  const double* col(size_t slot, Attribute attr) const {
-    return attr_cols_[slot * kNumEventAttrs + static_cast<size_t>(attr)]
-        .data();
-  }
-
-  /// Rough footprint for state accounting / tests.
-  size_t MemoryBytes() const;
 
  private:
   size_t num_slots_ = 1;
@@ -117,9 +72,6 @@ class ColumnarBatch {
   /// Tuple-level identity, exact.
   std::vector<int64_t> keys_;
   std::vector<Timestamp> event_times_;
-  std::vector<uint8_t> mask_;
-  /// Column base pointers refreshed by View().
-  std::vector<const double*> col_ptrs_;
 };
 
 }  // namespace cep2asp

@@ -6,19 +6,6 @@
 #include "analysis/graph_rules.h"
 #include "common/logging.h"
 
-// SIMD splitmix64 for the batch key-routing kernel, following the same
-// dispatch scheme as the expression kernels (expr_program.cc): SSE2 is
-// unconditional on x86-64, AVX2 compiles with a per-function target
-// attribute and is selected at runtime, and the scalar loop below carries
-// identical semantics when CEP2ASP_SIMD is off.
-#if defined(CEP2ASP_SIMD) && defined(__x86_64__) && defined(__SSE2__) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define CEP2ASP_HASH_SIMD 1
-#include <immintrin.h>
-#else
-#define CEP2ASP_HASH_SIMD 0
-#endif
-
 namespace cep2asp {
 
 const char* PartitionModeToString(PartitionMode mode) {
@@ -43,124 +30,6 @@ int KeyToSubtask(int64_t key, int parallelism) {
   x *= 0x94d049bb133111ebull;
   x ^= x >> 31;
   return static_cast<int>(x % static_cast<uint64_t>(parallelism));
-}
-
-namespace {
-
-inline uint64_t SplitMix64(uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ull;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebull;
-  x ^= x >> 31;
-  return x;
-}
-
-void SplitMix64BatchScalar(const int64_t* keys, size_t count, uint64_t* out) {
-  for (size_t i = 0; i < count; ++i) {
-    out[i] = SplitMix64(static_cast<uint64_t>(keys[i]));
-  }
-}
-
-#if CEP2ASP_HASH_SIMD
-
-// 64x64 -> low-64 multiply from 32x32 pieces: neither SSE2 nor AVX2 has a
-// packed 64-bit low multiply (that is AVX-512), but a*b mod 2^64 =
-// lo(a)*lo(b) + ((lo(a)*hi(b) + hi(a)*lo(b)) << 32), exact.
-inline __m128i MulLo64Sse2(__m128i a, __m128i b) {
-  const __m128i lo = _mm_mul_epu32(a, b);
-  const __m128i cross = _mm_add_epi64(_mm_mul_epu32(_mm_srli_epi64(a, 32), b),
-                                      _mm_mul_epu32(a, _mm_srli_epi64(b, 32)));
-  return _mm_add_epi64(lo, _mm_slli_epi64(cross, 32));
-}
-
-void SplitMix64BatchSse2(const int64_t* keys, size_t count, uint64_t* out) {
-  const __m128i c1 = _mm_set1_epi64x(static_cast<int64_t>(0xbf58476d1ce4e5b9ull));
-  const __m128i c2 = _mm_set1_epi64x(static_cast<int64_t>(0x94d049bb133111ebull));
-  size_t i = 0;
-  for (; i + 2 <= count; i += 2) {
-    __m128i x =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(keys + i));
-    x = _mm_xor_si128(x, _mm_srli_epi64(x, 30));
-    x = MulLo64Sse2(x, c1);
-    x = _mm_xor_si128(x, _mm_srli_epi64(x, 27));
-    x = MulLo64Sse2(x, c2);
-    x = _mm_xor_si128(x, _mm_srli_epi64(x, 31));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i), x);
-  }
-  SplitMix64BatchScalar(keys + i, count - i, out + i);
-}
-
-__attribute__((target("avx2"))) inline __m256i MulLo64Avx2(__m256i a,
-                                                           __m256i b) {
-  const __m256i lo = _mm256_mul_epu32(a, b);
-  const __m256i cross =
-      _mm256_add_epi64(_mm256_mul_epu32(_mm256_srli_epi64(a, 32), b),
-                       _mm256_mul_epu32(a, _mm256_srli_epi64(b, 32)));
-  return _mm256_add_epi64(lo, _mm256_slli_epi64(cross, 32));
-}
-
-__attribute__((target("avx2"))) void SplitMix64BatchAvx2(const int64_t* keys,
-                                                         size_t count,
-                                                         uint64_t* out) {
-  const __m256i c1 =
-      _mm256_set1_epi64x(static_cast<int64_t>(0xbf58476d1ce4e5b9ull));
-  const __m256i c2 =
-      _mm256_set1_epi64x(static_cast<int64_t>(0x94d049bb133111ebull));
-  size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    __m256i x =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + i));
-    x = _mm256_xor_si256(x, _mm256_srli_epi64(x, 30));
-    x = MulLo64Avx2(x, c1);
-    x = _mm256_xor_si256(x, _mm256_srli_epi64(x, 27));
-    x = MulLo64Avx2(x, c2);
-    x = _mm256_xor_si256(x, _mm256_srli_epi64(x, 31));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), x);
-  }
-  SplitMix64BatchScalar(keys + i, count - i, out + i);
-}
-
-using HashBatchFn = void (*)(const int64_t*, size_t, uint64_t*);
-
-HashBatchFn PickHashBatch() {
-  return __builtin_cpu_supports("avx2") ? &SplitMix64BatchAvx2
-                                        : &SplitMix64BatchSse2;
-}
-
-#endif  // CEP2ASP_HASH_SIMD
-
-void SplitMix64Batch(const int64_t* keys, size_t count, uint64_t* out) {
-#if CEP2ASP_HASH_SIMD
-  static const HashBatchFn fn = PickHashBatch();
-  fn(keys, count, out);
-#else
-  SplitMix64BatchScalar(keys, count, out);
-#endif
-}
-
-}  // namespace
-
-void KeyToSubtaskBatch(const int64_t* keys, size_t count, int parallelism,
-                       int32_t* out) {
-  if (parallelism <= 1) {
-    for (size_t i = 0; i < count; ++i) out[i] = 0;
-    return;
-  }
-  const uint64_t p = static_cast<uint64_t>(parallelism);
-  // Fixed-size stack chunks keep the hashed intermediates cache-hot and the
-  // routine allocation-free; the modulo stays scalar (no packed 64-bit
-  // division exists), so SIMD covers exactly the finalizer.
-  uint64_t hashed[256];
-  size_t i = 0;
-  while (i < count) {
-    const size_t n = count - i < 256 ? count - i : 256;
-    SplitMix64Batch(keys + i, n, hashed);
-    for (size_t j = 0; j < n; ++j) {
-      out[i + j] = static_cast<int32_t>(hashed[j] % p);
-    }
-    i += n;
-  }
 }
 
 NodeId JobGraph::AddSource(std::unique_ptr<Source> source) {
@@ -333,8 +202,6 @@ const char* ChainBreakToString(ChainBreak verdict) {
       return "edge is not forward-partitioned";
     case ChainBreak::kSourceProducer:
       return "producer is a source";
-    case ChainBreak::kDisabled:
-      return "chaining disabled";
     case ChainBreak::kProducerOptedOut:
       return "producer opted out of chaining";
     case ChainBreak::kConsumerOptedOut:
@@ -394,13 +261,12 @@ std::string ChainLayout::ToString(const JobGraph& graph) const {
 namespace {
 
 ChainBreak ClassifyEdge(const JobGraph& graph, NodeId from,
-                        const JobGraph::Edge& edge, bool chaining_enabled) {
+                        const JobGraph::Edge& edge) {
   if (edge.partition != PartitionMode::kForward) {
     return ChainBreak::kNotForward;
   }
   const JobGraph::Node& producer = graph.node(from);
   if (producer.is_source()) return ChainBreak::kSourceProducer;
-  if (!chaining_enabled) return ChainBreak::kDisabled;
   if (!producer.chaining) return ChainBreak::kProducerOptedOut;
   if (!graph.node(edge.to).chaining) return ChainBreak::kConsumerOptedOut;
   if (producer.outputs.size() != 1) return ChainBreak::kFanOut;
@@ -413,7 +279,15 @@ ChainBreak ClassifyEdge(const JobGraph& graph, NodeId from,
 
 }  // namespace
 
-ChainLayout ComputeChainLayout(const JobGraph& graph, bool chaining_enabled) {
+void UnchainAll(JobGraph* graph) {
+  for (NodeId id = 0; id < graph->num_nodes(); ++id) {
+    if (!graph->node(id).is_source()) {
+      CEP2ASP_CHECK_OK(graph->SetChaining(id, false));
+    }
+  }
+}
+
+ChainLayout ComputeChainLayout(const JobGraph& graph) {
   ChainLayout layout;
   const int n = graph.num_nodes();
   layout.chain_of.assign(static_cast<size_t>(n), -1);
@@ -428,7 +302,7 @@ ChainLayout ComputeChainLayout(const JobGraph& graph, bool chaining_enabled) {
     auto& verdicts = layout.edge_verdict[static_cast<size_t>(from)];
     verdicts.reserve(node.outputs.size());
     for (const JobGraph::Edge& edge : node.outputs) {
-      const ChainBreak v = ClassifyEdge(graph, from, edge, chaining_enabled);
+      const ChainBreak v = ClassifyEdge(graph, from, edge);
       verdicts.push_back(v);
       if (v == ChainBreak::kChained) {
         has_fused_in[static_cast<size_t>(edge.to)] = true;

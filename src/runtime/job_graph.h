@@ -38,14 +38,6 @@ const char* PartitionModeToString(PartitionMode mode);
 /// not all land on neighbouring subtasks modulo small parallelism.
 int KeyToSubtask(int64_t key, int parallelism);
 
-/// Batch form over a contiguous key column, bit-identical to calling
-/// KeyToSubtask per key: the splitmix64 finalizer runs as a SIMD kernel
-/// under CEP2ASP_SIMD (SSE2 baseline, runtime-dispatched AVX2) and the
-/// modulo stays scalar either way. This is the routing step of
-/// ColumnarBatch::PartitionByKey, where one block splits into P blocks.
-void KeyToSubtaskBatch(const int64_t* keys, size_t count, int parallelism,
-                       int32_t* out);
-
 /// \brief Directed acyclic dataflow graph: sources -> operators -> sinks
 /// (paper §2.3: ASPSs use directed graphs as processing model).
 ///
@@ -94,8 +86,10 @@ class JobGraph {
 
   /// Enables/disables operator chaining at node `id` (operators only,
   /// default on). With chaining off the node always runs as its own
-  /// subtask, ending any chain at both its in- and out-edge; useful for
-  /// isolating a heavy operator on its own thread or for A/B runs.
+  /// subtask, ending any chain at both its in- and out-edge. This is the
+  /// one way to force a real exchange onto a forward edge: isolating a
+  /// heavy operator in its own task, or an unchained A/B run (opt every
+  /// operator out).
   Status SetChaining(NodeId id, bool enabled);
 
   /// Validates the topology by running the analyzer's job-graph lint pass
@@ -184,7 +178,6 @@ enum class ChainBreak : uint8_t {
   kChained,
   kNotForward,           // hash/broadcast edges always cross an exchange
   kSourceProducer,       // sources keep their own ingestion thread
-  kDisabled,             // chaining switched off executor-wide
   kProducerOptedOut,     // producer's chaining knob is off
   kConsumerOptedOut,     // consumer's chaining knob is off
   kFanOut,               // producer has more than one out-edge
@@ -241,14 +234,19 @@ struct ChainLayout {
 ///   - the edge's PartitionMode is kForward (hash/broadcast cross a real
 ///     exchange by definition),
 ///   - the producer is an operator (sources keep their ingestion thread),
-///   - `chaining_enabled` and both endpoints' chaining knobs are on,
+///   - both endpoints' chaining knobs are on (JobGraph::SetChaining),
 ///   - the producer has exactly one out-edge and the consumer exactly one
 ///     in-edge (no fan-out/fan-in inside a chain),
 ///   - both nodes have equal parallelism (subtask i hands to subtask i).
-/// With `chaining_enabled` false every operator is its own chain, which
-/// reproduces the historical one-thread-per-subtask layout.
-ChainLayout ComputeChainLayout(const JobGraph& graph,
-                               bool chaining_enabled = true);
+/// Opting every operator out (SetChaining(id, false)) makes each operator
+/// its own chain, with a real exchange channel on every edge.
+ChainLayout ComputeChainLayout(const JobGraph& graph);
+
+/// Opts every operator of `graph` out of chaining (SetChaining per node),
+/// so each operator runs as its own task behind a real exchange channel on
+/// every edge: the unchained side of chaining A/B runs and invariance
+/// tests.
+void UnchainAll(JobGraph* graph);
 
 }  // namespace cep2asp
 

@@ -2,20 +2,17 @@
 #define CEP2ASP_RUNTIME_MESSAGE_H_
 
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "event/event.h"
-#include "runtime/columnar_batch.h"
 
 namespace cep2asp {
 
 /// Kind of element flowing over an inter-thread edge.
-enum class MessageKind : uint8_t { kTuple, kWatermark, kEnd, kColumnar };
+enum class MessageKind : uint8_t { kTuple, kWatermark, kEnd };
 
-/// One element flowing over an inter-thread edge. Move-only: a kColumnar
-/// message owns a whole column block.
+/// One element flowing over an inter-thread edge.
 struct Message {
   MessageKind kind = MessageKind::kTuple;
   int port = 0;
@@ -28,19 +25,6 @@ struct Message {
   int slot = 0;
   Tuple tuple;
   Timestamp watermark = kMinTimestamp;
-  /// Column block of a kColumnar message (null otherwise): `columnar_rows`
-  /// tuples travelling as one envelope — one channel slot for a whole
-  /// block. The row count is mirrored into a scalar because statistics are
-  /// counted after the block pointer was moved out (scalar members survive
-  /// the element move).
-  std::unique_ptr<ColumnarBatch> columnar;
-  int columnar_rows = 0;
-
-  Message() = default;
-  Message(Message&&) = default;
-  Message& operator=(Message&&) = default;
-  Message(const Message&) = delete;
-  Message& operator=(const Message&) = delete;
 
   static Message Data(int port, Tuple tuple, int slot = 0) {
     Message msg;
@@ -58,17 +42,6 @@ struct Message {
     msg.port = port;
     msg.slot = slot;
     msg.watermark = watermark;
-    return msg;
-  }
-
-  static Message Columnar(int port, std::unique_ptr<ColumnarBatch> block,
-                          int slot = 0) {
-    Message msg;
-    msg.kind = MessageKind::kColumnar;
-    msg.port = port;
-    msg.slot = slot;
-    msg.columnar_rows = static_cast<int>(block->rows());
-    msg.columnar = std::move(block);
     return msg;
   }
 };

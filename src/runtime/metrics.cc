@@ -50,15 +50,6 @@ std::string ChannelStats::ToString() const {
                 static_cast<long long>(tuples), avg_fill(),
                 static_cast<double>(blocked_push_nanos) / 1e6);
   std::string out = buf;
-  if (columnar_blocks > 0 || scattered_rows > 0) {
-    char cbuf[128];
-    std::snprintf(cbuf, sizeof(cbuf),
-                  " columnar_blocks=%lld columnar_rows=%lld scattered_rows=%lld",
-                  static_cast<long long>(columnar_blocks),
-                  static_cast<long long>(columnar_rows),
-                  static_cast<long long>(scattered_rows));
-    out += cbuf;
-  }
   out += " fill_hist=[";
   for (int i = 0; i < kFillBuckets; ++i) {
     if (i > 0) out += " ";

@@ -45,16 +45,12 @@ struct ChannelStats {
   bool fused = false;
   int64_t batches = 0;
   int64_t messages = 0;  // all messages, including watermarks/end markers
-  /// Data rows: per-tuple messages count 1, columnar envelopes count their
-  /// rows — so this is the partition's row load regardless of transfer
-  /// layout (PartitionSkew divides it, keeping skew honest on hash edges
-  /// that ship whole blocks).
+  /// Data rows (the partition's row load; PartitionSkew divides it).
   int64_t tuples = 0;
-  /// SoA transfer breakdown: kColumnar envelopes pushed, rows they
-  /// carried, and rows a columnar producer scattered into per-tuple
-  /// messages because this edge could not carry blocks.
+  /// Left from the retired columnar transfer path and always 0: tuples
+  /// cross every exchange row-major. Kept only because the end-to-end
+  /// benchmark still reads them.
   int64_t columnar_blocks = 0;
-  int64_t columnar_rows = 0;
   int64_t scattered_rows = 0;
   int64_t blocked_push_nanos = 0;
 

@@ -7,6 +7,7 @@
 #include "common/clock.h"
 #include "common/status.h"
 #include "event/event.h"
+#include "runtime/columnar_batch.h"
 #include "runtime/message.h"
 
 namespace cep2asp {
@@ -36,10 +37,10 @@ class Collector {
     batch->clear();
   }
 
-  /// Columnar emission: hands over a whole column block. The default
-  /// scatters row by row (the gather/scatter shim at a columnar ->
-  /// row-major boundary); columnar-capable collectors override it to move
-  /// the block downstream as one envelope.
+  /// Columnar emission: hands over a whole column block, scattered row by
+  /// row into Emit. No runtime component emits blocks (tuples cross every
+  /// edge row-major); the hook stays because the end-to-end benchmark's
+  /// tracing wrappers (e2ebench/trace.h) forward it.
   virtual void EmitColumnar(std::unique_ptr<ColumnarBatch> block) {
     for (size_t i = 0; i < block->rows(); ++i) Emit(block->RowTuple(i));
   }
@@ -56,7 +57,6 @@ class NullCollector : public Collector {
  public:
   void Emit(Tuple) override {}
   void EmitBatch(MessageBatch* batch) override { batch->clear(); }
-  void EmitColumnar(std::unique_ptr<ColumnarBatch>) override {}
 };
 
 /// \brief Static self-description of an operator, consumed by the plan
@@ -135,11 +135,6 @@ struct OperatorTraits {
   /// means no bound has been derived. The cost-based-optimizer Open item
   /// consumes this.
   double selectivity_bound = -1.0;
-  /// Consumes and emits ColumnarBatch natively (ProcessColumnar is a real
-  /// override, not the scatter shim). Producers negotiate the SoA transfer
-  /// path per edge against this bit; row-major operators keep the default
-  /// and receive gathered/scattered rows transparently.
-  bool columnar_capable = false;
 };
 
 /// \brief A (possibly stateful) dataflow operator, the unit of the ASP
@@ -186,10 +181,10 @@ class Operator {
   }
 
   /// Handles a whole column block arriving on `input`. The block is
-  /// consumed. The default scatters back into a row-major batch and
-  /// forwards to ProcessBatch (the boundary shim for operators that do not
-  /// declare `columnar_capable`); columnar-capable operators override it
-  /// to filter the columns in place and re-emit the block.
+  /// consumed, scattered back into a row-major batch and forwarded to
+  /// ProcessBatch. The executor never delivers blocks (tuples cross every
+  /// edge row-major); the hook stays because the end-to-end benchmark's
+  /// tracing wrappers (e2ebench/trace.h) forward it.
   virtual Status ProcessColumnar(int input, std::unique_ptr<ColumnarBatch> block,
                                  Collector* out) {
     MessageBatch rows;

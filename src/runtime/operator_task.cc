@@ -41,8 +41,7 @@ PhysicalLayout::PhysicalLayout(const JobGraph& graph,
 RoutingCollector::RoutingCollector(const JobGraph* graph, NodeId node,
                                    int subtask, const PhysicalLayout* layout,
                                    std::vector<NodeChannels>* channels,
-                                   size_t batch_size, bool enable_columnar,
-                                   bool columnar_hash)
+                                   size_t batch_size)
     : batch_size_(std::max<size_t>(1, batch_size)),
       cur_batch_(std::max<size_t>(1, batch_size)) {
   const JobGraph::Node& producer = graph->node(node);
@@ -62,27 +61,6 @@ RoutingCollector::RoutingCollector(const JobGraph* graph, NodeId node,
       }
       // else: round-robin rebalance via rr_cursor.
     }
-    // SoA negotiation, per edge: a forward edge into a columnar-capable
-    // consumer carries blocks whole; a hash edge into one splits each
-    // block into per-subtask sub-blocks along the key column (a
-    // parallelism-1 hash consumer degenerates to whole-block forward).
-    // Broadcast edges and row-major consumers keep the row-major path.
-    if (enable_columnar &&
-        layout->edge_slot_base[static_cast<size_t>(node)][i] >= 0) {
-      const JobGraph::Node& consumer = graph->node(edge.to);
-      if (consumer.op != nullptr && consumer.op->Traits().columnar_capable) {
-        if (edge.partition == PartitionMode::kForward) {
-          out.columnar = ColumnarMode::kWhole;
-        } else if (edge.partition == PartitionMode::kHash) {
-          if (out.consumer_parallelism == 1) {
-            out.columnar = ColumnarMode::kWhole;
-            out.fixed_target = 0;
-          } else if (columnar_hash) {
-            out.columnar = ColumnarMode::kPartition;
-          }
-        }
-      }
-    }
     out.first_target = static_cast<int>(targets_.size());
     for (int s = 0; s < out.consumer_parallelism; ++s) {
       Target target;
@@ -100,13 +78,6 @@ RoutingCollector::RoutingCollector(const JobGraph* graph, NodeId node,
       targets_.push_back(std::move(target));
     }
     edges_.push_back(out);
-  }
-  // Blocks travel only when EVERY out-edge can carry them: a fan-out with
-  // one row-major edge scatters once instead of paying both a block copy
-  // and a scatter for the same rows.
-  columnar_ok_ = !edges_.empty();
-  for (const OutEdge& e : edges_) {
-    if (e.columnar == ColumnarMode::kScatter) columnar_ok_ = false;
   }
 }
 
@@ -174,61 +145,8 @@ void RoutingCollector::EmitBatch(MessageBatch* batch) {
   batch->clear();
 }
 
-void RoutingCollector::RouteBlock(OutEdge& e,
-                                  std::unique_ptr<ColumnarBatch> block) {
-  if (e.columnar == ColumnarMode::kPartition) {
-    // Hash edge: split along the key column and ship one sub-block per
-    // non-empty bucket — P envelopes instead of rows() messages, with
-    // per-subtask row order identical to the row-at-a-time scatter.
-    std::vector<std::unique_ptr<ColumnarBatch>> parts =
-        block->PartitionByKey(e.consumer_parallelism);
-    for (size_t s = 0; s < parts.size(); ++s) {
-      if (parts[s] == nullptr) continue;
-      const int t = e.first_target + static_cast<int>(s);
-      Target& target = targets_[static_cast<size_t>(t)];
-      target.pending.push_back(
-          Message::Columnar(e.port, std::move(parts[s]), e.slot));
-      if (!target.stuck) FlushTarget(t);
-    }
-    return;
-  }
-  const int sub =
-      e.fixed_target >= 0
-          ? e.fixed_target
-          : static_cast<int>(e.rr_cursor++ %
-                             static_cast<size_t>(e.consumer_parallelism));
-  const int t = e.first_target + sub;
-  Target& target = targets_[static_cast<size_t>(t)];
-  target.pending.push_back(Message::Columnar(e.port, std::move(block), e.slot));
-  // A block already amortizes like a full batch: offer it to the channel
-  // right away instead of waiting for cur_batch_ envelopes.
-  if (!target.stuck) FlushTarget(t);
-}
-
-void RoutingCollector::EmitColumnar(std::unique_ptr<ColumnarBatch> block) {
-  if (block == nullptr || block->rows() == 0) return;
-  if (!columnar_ok_) {
-    // Scatter shim: some out-edge did not negotiate columnar transfer.
-    // Rows are attributed to the receiving channels' scattered_rows so
-    // the layout report's residual scatter stays measurable.
-    in_scatter_ = true;
-    Collector::EmitColumnar(std::move(block));
-    in_scatter_ = false;
-    return;
-  }
-  // Fan-out mirrors the row-major semantics: copy the block for every
-  // edge but the last, move into the last (single-edge producers never
-  // deep-copy).
-  const size_t last = edges_.size() - 1;
-  for (size_t i = 0; i < last; ++i) {
-    RouteBlock(edges_[i], std::make_unique<ColumnarBatch>(*block));
-  }
-  RouteBlock(edges_[last], std::move(block));
-}
-
 void RoutingCollector::Append(int t, Message msg) {
   Target& target = targets_[static_cast<size_t>(t)];
-  if (in_scatter_) target.channel->AddScatteredRows(1);
   target.pending.push_back(std::move(msg));
   // A stuck target buffers elastically until the task's next flush retry;
   // offering the channel again per append would only thrash.
@@ -310,21 +228,6 @@ void ChainedCollector::EmitBatch(MessageBatch* batch) {
   if (!st.ok()) *chain_status_ = st.WithContext(next_->name());
 }
 
-void ChainedCollector::EmitColumnar(std::unique_ptr<ColumnarBatch> block) {
-  if (!chain_status_->ok() || block == nullptr || block->rows() == 0) return;
-  *handed_over_ += static_cast<int64_t>(block->rows());
-  if (invariants_ != nullptr) {
-    for (size_t i = 0; i < block->rows(); ++i) {
-      invariants_->OnPhysicalTuple(node_, subtask_, subtask_,
-                                   block->RowTuple(i));
-    }
-  }
-  // A row-major next operator scatters through its base-class
-  // ProcessColumnar shim; a columnar-capable one filters in place.
-  Status st = next_->ProcessColumnar(port_, std::move(block), downstream_);
-  if (!st.ok()) *chain_status_ = st.WithContext(next_->name());
-}
-
 // ---------------------------------------------------------------------------
 // SourceTask
 
@@ -333,7 +236,7 @@ SourceTask::SourceTask(const TaskContext* ctx, NodeId node, Source* source)
       source_(source),
       label_("src:" + source->name()),
       router_(ctx->graph, node, /*subtask=*/0, ctx->layout, ctx->channels,
-              ctx->batch_size, ctx->enable_columnar, ctx->columnar_hash),
+              ctx->batch_size),
       cur_batch_(std::max<size_t>(1, ctx->batch_size)) {
   staged_.reserve(cur_batch_);
 }
@@ -404,30 +307,7 @@ Quantum SourceTask::RunQuantum() {
       }
       ctx_->tuples_ingested->fetch_add(static_cast<int64_t>(staged_.size()),
                                        std::memory_order_relaxed);
-      bool gathered = false;
-      if (router_.columnar_eligible()) {
-        // SoA gather point: the staged rows become one column block and
-        // travel as a single channel envelope. Blocks are shaped per
-        // arity; a mixed-arity batch (never produced by the bundled
-        // sources) keeps the row-major path.
-        bool uniform = true;
-        for (const Tuple& t : staged_) {
-          if (t.size() != 1) {
-            uniform = false;
-            break;
-          }
-        }
-        if (uniform) {
-          auto block = std::make_unique<ColumnarBatch>(1);
-          block->Reserve(staged_.size());
-          for (const Tuple& t : staged_) block->AppendTuple(t);
-          router_.EmitColumnar(std::move(block));
-          gathered = true;
-        }
-      }
-      if (!gathered) {
-        for (Tuple& t : staged_) router_.Emit(std::move(t));
-      }
+      for (Tuple& t : staged_) router_.Emit(std::move(t));
       since_watermark_ += static_cast<int>(staged_.size());
       if (since_watermark_ >= ctx_->watermark_interval) {
         since_watermark_ = 0;
@@ -474,8 +354,7 @@ ChainTask::ChainTask(const TaskContext* ctx,
       subtask_(subtask),
       ops_(std::move(ops)),
       router_(ctx->graph, chain_nodes->back(), subtask, ctx->layout,
-              ctx->channels, ctx->batch_size, ctx->enable_columnar,
-              ctx->columnar_hash),
+              ctx->channels, ctx->batch_size),
       aligner_(
           ctx->layout->num_slots[static_cast<size_t>(chain_nodes->front())]),
       cur_batch_(std::max<size_t>(1, ctx->batch_size)) {
@@ -607,27 +486,6 @@ void ChainTask::ProcessBatch(MessageBatch* batch) {
           } else {
             router_.EmitControl(MessageKind::kWatermark, aligned);
           }
-        }
-        break;
-      }
-      case MessageKind::kColumnar: {
-        if (ctx_->invariants != nullptr) {
-          for (size_t i = 0; i < msg.columnar->rows(); ++i) {
-            ctx_->invariants->OnPhysicalTuple(head, subtask_, msg.slot,
-                                              msg.columnar->RowTuple(i));
-          }
-        }
-        Status st = ops_.front()->ProcessColumnar(
-            msg.port, std::move(msg.columnar), collectors_.front());
-        if (!st.ok()) {
-          st = st.WithContext(ops_.front()->name());
-        } else if (!chain_status_.ok()) {
-          st = chain_status_;
-        }
-        if (!st.ok()) {
-          ctx_->record_error(st);
-          aligner_.ForceDone();
-          phase_ = Phase::kDone;
         }
         break;
       }

@@ -65,18 +65,9 @@ struct PhysicalLayout {
 /// flushing, never by re-appending.
 class RoutingCollector : public Collector {
  public:
-  /// `enable_columnar` turns on SoA transfer negotiation, per out-edge:
-  /// forward edges into columnar-capable consumers ship whole column
-  /// blocks; hash edges into columnar-capable consumers split each block
-  /// into P sub-blocks by key column (ColumnarBatch::PartitionByKey) when
-  /// `columnar_hash` also holds; broadcast edges and row-major consumers
-  /// stay row-major. Blocks travel only when EVERY out-edge can carry
-  /// them (fan-out copies the block per edge, moving the last), otherwise
-  /// EmitColumnar scatters row by row.
   RoutingCollector(const JobGraph* graph, NodeId node, int subtask,
                    const PhysicalLayout* layout,
-                   std::vector<NodeChannels>* channels, size_t batch_size,
-                   bool enable_columnar, bool columnar_hash);
+                   std::vector<NodeChannels>* channels, size_t batch_size);
 
   void Emit(Tuple tuple) override;
 
@@ -86,18 +77,6 @@ class RoutingCollector : public Collector {
   /// header (the channel stamps at the push boundary) — instead of a
   /// per-tuple Route/Append. Other shapes fall back to per-tuple Emit.
   void EmitBatch(MessageBatch* batch) override;
-
-  /// Columnar fast path: when every out-edge negotiated columnar transfer
-  /// (see ctor), the block travels as kColumnar envelopes — whole to a
-  /// fixed/round-robin target on forward edges, split into per-subtask
-  /// sub-blocks on hash edges. Ineligible shapes (broadcast edges,
-  /// row-major consumers) scatter row by row via the base-class shim,
-  /// with the scattered rows attributed to the receiving channels.
-  void EmitColumnar(std::unique_ptr<ColumnarBatch> block) override;
-
-  /// True when EmitColumnar ships blocks whole instead of scattering;
-  /// producers consult this before paying the gather.
-  bool columnar_eligible() const { return columnar_ok_; }
 
   /// Best-effort push of every pending buffer that is not stuck; the task
   /// checks stuck() afterwards.
@@ -130,17 +109,9 @@ class RoutingCollector : public Collector {
     bool push_started = false;
   };
 
-  /// How one out-edge carries a column block when all edges are eligible.
-  enum class ColumnarMode : uint8_t {
-    kScatter,    // row-by-row (broadcast, or row-major consumer)
-    kWhole,      // forward: one envelope to the routed target
-    kPartition,  // hash: PartitionByKey splits into per-subtask envelopes
-  };
-
   struct OutEdge {
     int port = 0;
     PartitionMode mode = PartitionMode::kForward;
-    ColumnarMode columnar = ColumnarMode::kScatter;
     int consumer_parallelism = 1;
     int slot = 0;           // consumer-side slot this producer subtask owns
     int fixed_target = -1;  // forward short-circuit; -1 = dynamic routing
@@ -156,14 +127,9 @@ class RoutingCollector : public Collector {
   int Route(OutEdge& e, const Tuple& tuple);
   void Append(int t, Message msg);
   void FlushTarget(int t);
-  void RouteBlock(OutEdge& e, std::unique_ptr<ColumnarBatch> block);
 
   const size_t batch_size_;
   size_t cur_batch_;
-  bool columnar_ok_ = false;
-  /// Set while the EmitColumnar scatter shim runs, so Append attributes
-  /// the per-row messages to the receiving channel's scattered_rows.
-  bool in_scatter_ = false;
   int stuck_targets_ = 0;
   std::vector<Target> targets_;
   std::vector<OutEdge> edges_;
@@ -198,10 +164,6 @@ class ChainedCollector : public Collector {
   /// rest of the chain without re-splitting into per-tuple hops.
   void EmitBatch(MessageBatch* batch) override;
 
-  /// Hands a column block to the next operator's ProcessColumnar in one
-  /// virtual call; a row-major next scatters through its base-class shim.
-  void EmitColumnar(std::unique_ptr<ColumnarBatch> block) override;
-
   void Flush() override { downstream_->Flush(); }
 
  private:
@@ -227,11 +189,6 @@ struct TaskContext {
   size_t batch_size = 64;
   int quantum_batches = 8;
   int watermark_interval = 256;
-  /// Negotiate SoA (columnar) transfer on eligible edges.
-  bool enable_columnar = false;
-  /// Allow hash edges to carry blocks via PartitionByKey (the A/B switch
-  /// of the columnar-hash invariance axis; scatter fallback when off).
-  bool columnar_hash = true;
   Clock* clock = nullptr;
   InvariantChecker* invariants = nullptr;  // null outside debug wiring
   std::function<void(const Status&)> record_error;

@@ -36,15 +36,13 @@ ExecutionResult ThreadedExecutor::Run(const CollectSink* sink) {
   const size_t batch_size = std::max<size_t>(1, options_.batch_size);
 
   const int n = graph_->num_nodes();
-  const ChainLayout chain_layout =
-      ComputeChainLayout(*graph_, options_.enable_chaining);
+  const ChainLayout chain_layout = ComputeChainLayout(*graph_);
   const PhysicalLayout layout(*graph_, chain_layout);
 
   // One input channel per (chain head, subtask); chain interiors receive
   // tuples in-thread and own no channel. Every producer subtask of every
   // unfused in-edge pushes at least control messages into each channel, so
-  // the SPSC fast path needs physical fan-in 1 — with parallelism 1 and
-  // chaining off everywhere this is the same choice as before.
+  // the SPSC fast path needs physical fan-in 1.
   std::vector<NodeChannels> channels(static_cast<size_t>(n));
   for (NodeId id = 0; id < n; ++id) {
     if (graph_->node(id).is_source() || !chain_layout.is_head(id)) continue;
@@ -52,7 +50,7 @@ ExecutionResult ThreadedExecutor::Run(const CollectSink* sink) {
     for (int s = 0; s < subtasks; ++s) {
       channels[static_cast<size_t>(id)].push_back(
           MakeChannel(layout.num_slots[static_cast<size_t>(id)],
-                      options_.queue_capacity, options_.enable_spsc));
+                      options_.queue_capacity));
     }
   }
 
@@ -149,8 +147,6 @@ ExecutionResult ThreadedExecutor::Run(const CollectSink* sink) {
   ctx.invariants = invariants;
   ctx.record_error = record_error;
   ctx.tuples_ingested = &tuples_ingested;
-  ctx.enable_columnar = options_.enable_columnar;
-  ctx.columnar_hash = options_.columnar_hash_partition;
 
   std::vector<std::unique_ptr<Task>> tasks;
   // Producing task(s) of every node: sources have one task, operator

@@ -29,17 +29,6 @@ struct ThreadedExecutorOptions {
   /// bit-for-bit (every message is its own batch).
   size_t batch_size = 64;
 
-  /// Use the lock-free SPSC ring for single-producer inputs; the mutex
-  /// MPMC queue remains the fallback for fan-in > 1 (and for all inputs
-  /// when disabled). Off is only interesting for ablation benchmarks.
-  bool enable_spsc = true;
-
-  /// Fuse forward-edge operator chains into single subtasks (see
-  /// ComputeChainLayout for the chain rules). Off gives every (node,
-  /// subtask) its own task with a real exchange channel on every edge;
-  /// only interesting for A/B benchmarks and debugging.
-  bool enable_chaining = true;
-
   /// Worker pool size for the task scheduler; 0 means
   /// std::thread::hardware_concurrency().
   int worker_threads = 0;
@@ -48,21 +37,6 @@ struct ThreadedExecutorOptions {
   /// (cooperative quantum). Larger quanta amortize scheduling overhead;
   /// smaller quanta interleave co-scheduled tasks more finely.
   int quantum_batches = 8;
-
-  /// Negotiate columnar (SoA) transfer per edge: producers with a single
-  /// forward-mode edge into a columnar-capable consumer gather staged rows
-  /// into ColumnarBatch blocks that travel as one channel envelope and run
-  /// the consumer's compiled predicate column-at-a-time; every other edge
-  /// — and every row-major operator, via transparent gather/scatter shims
-  /// — behaves exactly as before. Off restores the pure row-major paths
-  /// for A/B runs.
-  bool enable_columnar = true;
-
-  /// With enable_columnar: allow hash edges into columnar-capable
-  /// consumers to carry blocks, split per subtask along the key column
-  /// (ColumnarBatch::PartitionByKey). Off makes hash edges scatter rows
-  /// individually as before PR 10 — the columnar-hash A/B axis.
-  bool columnar_hash_partition = true;
 
   Clock* clock = nullptr;
 };
@@ -86,9 +60,10 @@ struct ThreadedExecutorOptions {
 /// subtask), so window firing and termination are exact under
 /// partitioning.
 ///
-/// Operator chaining (on by default) collapses runs of fused forward
-/// edges into one subtask per chain: tuples inside a chain are handed to
-/// the next operator's Process directly via a ChainedCollector — no
+/// Operator chaining (on by default; JobGraph::SetChaining opts a node
+/// out) collapses runs of fused forward edges into one subtask per chain:
+/// tuples inside a chain are handed to the next operator's Process
+/// directly via a ChainedCollector — no
 /// MessageBatch, no queue, no copy — and only chain-boundary edges get
 /// real exchange channels. Watermarks and Finish propagate through the
 /// chain in operator order before being forwarded downstream, so chain
@@ -101,8 +76,8 @@ struct ThreadedExecutorOptions {
 /// ride a lock-free SPSC ring, the rest fall back to the mutex queue. The
 /// single-threaded PipelineExecutor remains the deterministic logical
 /// reference (it ignores parallelism); correctness tests assert both
-/// produce identical match sets at every parallelism level, chain on and
-/// off.
+/// produce identical match sets at every parallelism level, with every
+/// node chained and with every node opted out.
 ///
 /// No physical unit owns an OS thread. Parallelism therefore costs tasks,
 /// not threads: P=4 on a 2-core host multiplexes 4 tasks over 2 workers.

@@ -1,29 +1,19 @@
-// Columnar (SoA) execution tests: RunColumnar over a ColumnarBatch must be
-// observationally identical to the row-major RunBatch path for every fused
-// program over every input — including NaN / ±inf attribute values, all six
-// comparators, and key-assigning programs — and the gather/scatter shims
-// must reproduce rows bit-for-bit. The SIMD kernels (when CEP2ASP_SIMD is
-// on) and the scalar fallback share these tests: the mask is the contract.
+// Tests of ColumnarBatch as the sliding-window join's struct-of-arrays
+// window store: appending rows and scattering them back must reproduce
+// every row bit-for-bit, and the store operations the join runs (stable
+// event-time sort, dead-prefix reclaim, per-event gather, reshape) must
+// keep rows intact and in order.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <random>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "asp/compiled_stateless.h"
-#include "asp/sliding_window_join.h"
-#include "event/expr_program.h"
-#include "event/expr_verifier.h"
-#include "event/predicate.h"
 #include "runtime/columnar_batch.h"
-#include "runtime/job_graph.h"
-#include "runtime/operator.h"
 
 namespace cep2asp {
 namespace {
@@ -51,39 +41,6 @@ SimpleEvent RandomEvent(std::mt19937_64& rng, bool allow_non_finite) {
   e.lat = RandomMeasure(rng, allow_non_finite);
   e.lon = RandomMeasure(rng, allow_non_finite);
   return e;
-}
-
-Attribute RandomAttr(std::mt19937_64& rng) {
-  static const Attribute kAttrs[] = {Attribute::kValue, Attribute::kLat,
-                                     Attribute::kLon,   Attribute::kTs,
-                                     Attribute::kId,    Attribute::kAuxTs};
-  return kAttrs[rng() % 6];
-}
-
-CmpOp RandomCmpOp(std::mt19937_64& rng) {
-  static const CmpOp kOps[] = {CmpOp::kLt, CmpOp::kLe, CmpOp::kGt,
-                               CmpOp::kGe, CmpOp::kEq, CmpOp::kNe};
-  return kOps[rng() % 6];
-}
-
-Predicate RandomPredicate(std::mt19937_64& rng, int arity) {
-  Predicate pred;
-  const int terms = static_cast<int>(rng() % 6);
-  for (int i = 0; i < terms; ++i) {
-    const AttrRef lhs{static_cast<int>(rng() % static_cast<unsigned>(arity)),
-                      RandomAttr(rng)};
-    const CmpOp op = RandomCmpOp(rng);
-    if (rng() % 2 == 0) {
-      const AttrRef rhs{static_cast<int>(rng() % static_cast<unsigned>(arity)),
-                        RandomAttr(rng)};
-      static const double kOffsets[] = {0.0, 0.0, 0.5, -17.0, 1000.0};
-      pred.Add(Comparison::AttrAttr(lhs, op, rhs, kOffsets[rng() % 5]));
-    } else {
-      pred.Add(Comparison::AttrConst(lhs, op,
-                                     RandomMeasure(rng, /*non_finite=*/true)));
-    }
-  }
-  return pred;
 }
 
 Tuple RandomTuple(std::mt19937_64& rng, int arity, bool allow_non_finite) {
@@ -120,126 +77,6 @@ void ExpectSameTuple(const Tuple& a, const Tuple& b) {
   }
 }
 
-class VectorCollector : public Collector {
- public:
-  void Emit(Tuple tuple) override { tuples.push_back(std::move(tuple)); }
-  std::vector<Tuple> tuples;
-};
-
-std::map<std::string, int> Multiset(const std::vector<Tuple>& tuples) {
-  std::map<std::string, int> ms;
-  for (const Tuple& t : tuples) {
-    ++ms[MatchKey(t) + "#" + std::to_string(t.key())];
-  }
-  return ms;
-}
-
-// RunColumnar's mask must equal RunBatch's mask for every fused program
-// over every input pattern, all six comparators and the IEEE specials
-// included — the differential property gating the whole SoA path.
-TEST(ColumnarTest, RunColumnarMatchesRowMajorRunBatch) {
-  std::mt19937_64 rng(0xc01c0001);
-  for (int iter = 0; iter < 300; ++iter) {
-    const int arity = 1 + static_cast<int>(rng() % 4);
-    const Predicate pred = RandomPredicate(rng, arity);
-    const ExprProgram program =
-        ExprProgram::Filter(pred, ExprProgram::VarMode::kPositional);
-    ASSERT_TRUE(program.ok()) << pred.ToString();
-    ASSERT_TRUE(program.IsColumnarExecutable()) << program.ToString();
-
-    const size_t n = rng() % 70;
-    std::vector<Tuple> tuples;
-    ColumnarBatch batch(static_cast<size_t>(arity));
-    batch.Reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      tuples.push_back(RandomTuple(rng, arity, /*non_finite=*/true));
-      batch.AppendTuple(tuples.back());
-    }
-
-    std::vector<uint8_t> row_mask(n == 0 ? 1 : n, 0);
-    program.RunBatch(tuples.data(), sizeof(Tuple), n, row_mask.data());
-
-    ASSERT_TRUE(program.RunColumnar(batch.View())) << program.ToString();
-    for (size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(batch.mask()[i] != 0, row_mask[i] != 0)
-          << "row " << i << "\n" << pred.ToString() << "\n"
-          << program.ToString();
-    }
-  }
-}
-
-// Key-assigning programs must write the same keys column-wise that Run
-// writes tuple-wise, and constant keys stay exact int64.
-TEST(ColumnarTest, ColumnarKeyStoresMatchRowMajor) {
-  std::mt19937_64 rng(0xc01c0002);
-  static const Attribute kKeyAttrs[] = {Attribute::kId, Attribute::kTs,
-                                        Attribute::kAuxTs};
-  for (int iter = 0; iter < 100; ++iter) {
-    const Predicate pred = RandomPredicate(rng, 1);
-    ExprProgram fused;
-    int64_t const_key = 0;
-    const bool constant = rng() % 4 == 0;
-    if (constant) {
-      const_key = static_cast<int64_t>(rng()) | (int64_t{1} << 62);
-      fused = ExprProgram::Fuse(
-          ExprProgram::Filter(pred, ExprProgram::VarMode::kBroadcast),
-          ExprProgram::KeyByConstant(const_key));
-    } else {
-      fused = ExprProgram::Fuse(
-          ExprProgram::Filter(pred, ExprProgram::VarMode::kBroadcast),
-          ExprProgram::KeyByAttribute(0, kKeyAttrs[rng() % 3]));
-    }
-    ASSERT_TRUE(fused.ok());
-    ASSERT_TRUE(fused.assigns_key());
-
-    const size_t n = 1 + rng() % 50;
-    std::vector<Tuple> tuples;
-    ColumnarBatch batch(1);
-    for (size_t i = 0; i < n; ++i) {
-      // Measurements may be non-finite; key attributes are integral.
-      tuples.push_back(RandomTuple(rng, 1, /*non_finite=*/true));
-      batch.AppendTuple(tuples.back());
-    }
-    ASSERT_TRUE(fused.RunColumnar(batch.View()));
-    for (size_t i = 0; i < n; ++i) {
-      Tuple row = tuples[i];
-      const bool pass = fused.Run(&row);
-      ASSERT_EQ(batch.mask()[i] != 0, pass);
-      if (pass) {
-        EXPECT_EQ(batch.keys()[i], row.key());
-        if (constant) {
-          EXPECT_EQ(batch.keys()[i], const_key);
-        }
-      }
-    }
-  }
-}
-
-// Stack-form programs are row-major only: IsColumnarExecutable is false,
-// RunColumnar refuses without touching the mask, VerifyColumnar reports
-// the offending instruction while plain Verify still accepts.
-TEST(ColumnarTest, StackFormProgramsAreRejected) {
-  Predicate pred;
-  pred.Add(Comparison::AttrConst({0, Attribute::kValue}, CmpOp::kLt, 10.0));
-  const ExprProgram stack_form = ExprProgram::Filter(
-      pred, ExprProgram::VarMode::kBroadcast, /*fuse_terms=*/false);
-  ASSERT_TRUE(stack_form.ok());
-  EXPECT_FALSE(stack_form.IsColumnarExecutable());
-  EXPECT_TRUE(ExprVerifier::Verify(stack_form, 1).ok());
-  EXPECT_FALSE(ExprVerifier::VerifyColumnar(stack_form, 1).ok());
-
-  ColumnarBatch batch(1);
-  batch.AppendTuple(Tuple(SimpleEvent{}));
-  batch.mask()[0] = 0;  // must stay untouched by the refusal
-  EXPECT_FALSE(stack_form.RunColumnar(batch.View()));
-  EXPECT_EQ(batch.mask()[0], 0);
-
-  const ExprProgram fused =
-      ExprProgram::Filter(pred, ExprProgram::VarMode::kBroadcast);
-  EXPECT_TRUE(fused.IsColumnarExecutable());
-  EXPECT_TRUE(ExprVerifier::VerifyColumnar(fused, 1).ok());
-}
-
 // Gather -> scatter must reproduce every row bit-for-bit (types, ids,
 // timestamps, keys, event times, and non-finite measurements included).
 TEST(ColumnarTest, GatherScatterRoundTripIsExact) {
@@ -258,233 +95,50 @@ TEST(ColumnarTest, GatherScatterRoundTripIsExact) {
   }
 }
 
-// Compact drops unselected rows in place, keeps survivor order, and
-// re-selects the survivors.
-TEST(ColumnarTest, CompactKeepsSurvivorsInOrder) {
+// The join's store operations: StableSortByEventTime orders rows [from,
+// rows) by event time, keeping equal times in append order and rows before
+// `from` untouched; RowEvent gathers the same events RowTuple does;
+// ErasePrefix drops the front rows; Reset reshapes and empties the store.
+TEST(ColumnarTest, WindowStoreSortEraseAndReset) {
   std::mt19937_64 rng(0xc01c0004);
-  ColumnarBatch batch(1);
-  std::vector<Tuple> tuples;
-  for (int i = 0; i < 64; ++i) {
-    tuples.push_back(RandomTuple(rng, 1, /*non_finite=*/false));
-    batch.AppendTuple(tuples.back());
-  }
-  std::vector<size_t> keep;
-  for (size_t i = 0; i < tuples.size(); ++i) {
-    if (rng() % 3 != 0) {
-      keep.push_back(i);
-    } else {
-      batch.mask()[i] = 0;
-    }
-  }
-  ASSERT_EQ(batch.Compact(), keep.size());
-  ASSERT_EQ(batch.rows(), keep.size());
-  for (size_t i = 0; i < keep.size(); ++i) {
-    EXPECT_EQ(batch.mask()[i], 1);
-    ExpectSameTuple(batch.RowTuple(i), tuples[keep[i]]);
-  }
-  // Reset keeps capacity but drops rows.
-  batch.Reset(2);
-  EXPECT_EQ(batch.rows(), 0u);
-  EXPECT_EQ(batch.num_slots(), 2u);
-}
-
-// The compiled operator's columnar path must emit the same multiset the
-// row-major batch path emits, through the default scatter shim.
-TEST(ColumnarTest, ProcessColumnarMatchesProcessBatch) {
-  std::mt19937_64 rng(0xc01c0005);
-  static const Attribute kKeyAttrs[] = {Attribute::kId, Attribute::kTs,
-                                        Attribute::kAuxTs};
-  for (int iter = 0; iter < 100; ++iter) {
-    const Predicate pred = RandomPredicate(rng, 1);
-    ExprProgram fused = ExprProgram::Fuse(
-        ExprProgram::Filter(pred, ExprProgram::VarMode::kBroadcast),
-        ExprProgram::KeyByAttribute(0, kKeyAttrs[rng() % 3]));
-    ASSERT_TRUE(fused.ok());
-    CompiledStatelessOperator compiled(std::move(fused), "filter+key");
-    ASSERT_TRUE(compiled.Traits().columnar_capable);
-
-    const size_t n = rng() % 65;
-    std::vector<Tuple> inputs;
-    MessageBatch rows;
-    auto block = std::make_unique<ColumnarBatch>(1);
-    for (size_t i = 0; i < n; ++i) {
-      inputs.push_back(RandomTuple(rng, 1, /*non_finite=*/true));
-      rows.push_back(Message::Data(0, inputs.back()));
-      block->AppendTuple(inputs.back());
-    }
-
-    VectorCollector row_out;
-    ASSERT_TRUE(compiled.ProcessBatch(0, &rows, &row_out).ok());
-    VectorCollector col_out;
-    ASSERT_TRUE(compiled.ProcessColumnar(0, std::move(block), &col_out).ok());
-    EXPECT_EQ(Multiset(col_out.tuples), Multiset(row_out.tuples))
-        << pred.ToString();
-  }
-}
-
-// The batched splitmix64 router (SIMD kernels when CEP2ASP_SIMD is on)
-// must be bit-identical to the scalar KeyToSubtask for arbitrary 64-bit
-// keys — including negatives, values beyond 2^53, and the int64 extremes —
-// at every parallelism, every count (SIMD tails included).
-TEST(ColumnarTest, KeyToSubtaskBatchMatchesScalar) {
-  std::mt19937_64 rng(0xc01c0006);
-  std::vector<int64_t> keys;
-  for (int i = 0; i < 1200; ++i) {
-    switch (rng() % 5) {
-      case 0:
-        keys.push_back(static_cast<int64_t>(rng() % 100));
-        break;
-      case 1:
-        keys.push_back(static_cast<int64_t>(rng()));  // full 64-bit pattern
-        break;
-      case 2:
-        keys.push_back((int64_t{1} << 53) + static_cast<int64_t>(rng() % 999));
-        break;
-      case 3:
-        keys.push_back(-static_cast<int64_t>(rng() % 999));
-        break;
-      default:
-        keys.push_back(rng() % 2 ? std::numeric_limits<int64_t>::max()
-                                 : std::numeric_limits<int64_t>::min());
-        break;
-    }
-  }
-  for (int p : {1, 2, 3, 4, 7, 16, 64}) {
-    for (size_t n : {size_t{0}, size_t{1}, size_t{3}, size_t{255}, size_t{256},
-                     size_t{257}, keys.size()}) {
-      std::vector<int32_t> out(n == 0 ? 1 : n, -1);
-      KeyToSubtaskBatch(keys.data(), n, p, out.data());
-      for (size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(out[i], KeyToSubtask(keys[i], p))
-            << "key=" << keys[i] << " p=" << p << " n=" << n;
-      }
-    }
-  }
-}
-
-// PartitionByKey must reproduce row-at-a-time KeyToSubtask routing
-// exactly: per target subtask the same rows in the same order,
-// bit-for-bit (non-finite measurements included), masked-off rows
-// dropped, empty buckets null — and exact routing for keys the double
-// mantissa cannot hold.
-TEST(ColumnarTest, PartitionByKeyMatchesRowMajorRouting) {
-  std::mt19937_64 rng(0xc01c0007);
-  for (int iter = 0; iter < 80; ++iter) {
-    const int arity = 1 + static_cast<int>(rng() % 3);
-    const int p = 1 + static_cast<int>(rng() % 5);
-    const size_t n = rng() % 80;
-    ColumnarBatch batch(static_cast<size_t>(arity));
+  for (int arity = 1; arity <= 2; ++arity) {
+    ColumnarBatch store(static_cast<size_t>(arity));
     std::vector<Tuple> tuples;
-    for (size_t i = 0; i < n; ++i) {
-      Tuple t = RandomTuple(rng, arity, /*non_finite=*/true);
-      if (rng() % 4 == 0) {
-        t.set_key((int64_t{1} << 53) + static_cast<int64_t>(rng() % 7));
-      } else if (rng() % 8 == 0) {
-        t.set_key(static_cast<int64_t>(rng()));
-      }
-      tuples.push_back(t);
-      batch.AppendTuple(t);
+    for (int i = 0; i < 64; ++i) {
+      tuples.push_back(RandomTuple(rng, arity, /*non_finite=*/true));
+      // Few distinct times, so the sort's stability is exercised.
+      tuples.back().set_event_time(static_cast<Timestamp>(rng() % 8));
+      store.AppendTuple(tuples.back());
     }
-    std::vector<uint8_t> live(n, 1);
-    for (size_t i = 0; i < n; ++i) {
-      if (rng() % 5 == 0) {
-        live[i] = 0;
-        batch.mask()[i] = 0;
+    constexpr size_t kFrom = 10;
+    store.StableSortByEventTime(kFrom);
+    std::vector<Tuple> want = tuples;
+    std::stable_sort(want.begin() + kFrom, want.end(),
+                     [](const Tuple& a, const Tuple& b) {
+                       return a.event_time() < b.event_time();
+                     });
+    ASSERT_EQ(store.rows(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      ExpectSameTuple(store.RowTuple(i), want[i]);
+      EXPECT_EQ(store.event_time(i), want[i].event_time());
+      for (size_t s = 0; s < static_cast<size_t>(arity); ++s) {
+        const SimpleEvent e = store.RowEvent(s, i);
+        EXPECT_EQ(e.id, want[i].event(s).id);
+        EXPECT_EQ(e.ts, want[i].event(s).ts);
+        EXPECT_TRUE(SameDouble(e.value, want[i].event(s).value));
       }
     }
 
-    auto parts = batch.PartitionByKey(p);
-    ASSERT_EQ(parts.size(), static_cast<size_t>(p));
-    std::vector<std::vector<size_t>> expect(static_cast<size_t>(p));
-    for (size_t i = 0; i < n; ++i) {
-      if (live[i]) {
-        expect[static_cast<size_t>(KeyToSubtask(tuples[i].key(), p))]
-            .push_back(i);
-      }
+    store.ErasePrefix(kFrom + 3);
+    ASSERT_EQ(store.rows(), want.size() - kFrom - 3);
+    for (size_t i = 0; i < store.rows(); ++i) {
+      ExpectSameTuple(store.RowTuple(i), want[kFrom + 3 + i]);
     }
-    for (int s = 0; s < p; ++s) {
-      const std::vector<size_t>& want = expect[static_cast<size_t>(s)];
-      if (want.empty()) {
-        EXPECT_EQ(parts[static_cast<size_t>(s)], nullptr) << "subtask " << s;
-        continue;
-      }
-      ASSERT_NE(parts[static_cast<size_t>(s)], nullptr) << "subtask " << s;
-      const ColumnarBatch& part = *parts[static_cast<size_t>(s)];
-      ASSERT_EQ(part.rows(), want.size()) << "subtask " << s;
-      for (size_t j = 0; j < want.size(); ++j) {
-        EXPECT_EQ(part.mask()[j], 1);
-        EXPECT_EQ(part.keys()[j], tuples[want[j]].key());
-        ExpectSameTuple(part.RowTuple(j), tuples[want[j]]);
-      }
-    }
-  }
-}
 
-// The join's columnar ingest must be observationally identical to
-// per-tuple Process: same emission sequence, same pairs_evaluated, same
-// state-byte accounting — across random window specs, conditions,
-// timestamp modes, dedup settings, key runs, block boundaries, and
-// interleaved watermarks.
-TEST(ColumnarTest, JoinProcessColumnarMatchesRowMajorIngest) {
-  std::mt19937_64 rng(0xc01c0008);
-  for (int iter = 0; iter < 40; ++iter) {
-    const int l_arity = 1 + static_cast<int>(rng() % 2);
-    const int r_arity = 1 + static_cast<int>(rng() % 2);
-    const Timestamp slide = 5 * (1 + static_cast<Timestamp>(rng() % 4));
-    const SlidingWindowSpec spec{slide * (1 + static_cast<Timestamp>(rng() % 5)),
-                                 slide};
-    const Predicate cond = RandomPredicate(rng, l_arity + r_arity);
-    const TimestampMode mode =
-        rng() % 2 ? TimestampMode::kMax : TimestampMode::kMin;
-    const bool dedup = rng() % 2 == 0;
-    SlidingWindowJoinOperator row_op(spec, cond, mode, "row", dedup);
-    SlidingWindowJoinOperator col_op(spec, cond, mode, "col", dedup);
-    ASSERT_TRUE(row_op.Open().ok());
-    ASSERT_TRUE(col_op.Open().ok());
-    VectorCollector row_out;
-    VectorCollector col_out;
-
-    Timestamp max_ts = 0;
-    const int steps = 1 + static_cast<int>(rng() % 8);
-    for (int st = 0; st < steps; ++st) {
-      const int input = static_cast<int>(rng() % 2);
-      const int arity = input == 0 ? l_arity : r_arity;
-      const size_t rows = rng() % 30;
-      auto block = std::make_unique<ColumnarBatch>(static_cast<size_t>(arity));
-      std::vector<Tuple> batch_tuples;
-      for (size_t i = 0; i < rows; ++i) {
-        Tuple t = RandomTuple(rng, arity, /*non_finite=*/true);
-        // Few keys so runs form and both sides meet; occasionally a key
-        // beyond the double-exact range.
-        t.set_key(static_cast<int64_t>(rng() % 4));
-        if (rng() % 16 == 0) t.set_key((int64_t{1} << 53) + 3);
-        t.set_event_time(static_cast<Timestamp>(rng() % 200));
-        max_ts = std::max(max_ts, t.event_time());
-        batch_tuples.push_back(t);
-        block->AppendTuple(t);
-      }
-      for (Tuple& t : batch_tuples) {
-        ASSERT_TRUE(row_op.Process(input, t, &row_out).ok());
-      }
-      ASSERT_TRUE(
-          col_op.ProcessColumnar(input, std::move(block), &col_out).ok());
-      if (rng() % 3 == 0) {
-        const Timestamp wm = static_cast<Timestamp>(rng() % 220);
-        ASSERT_TRUE(row_op.OnWatermark(wm, &row_out).ok());
-        ASSERT_TRUE(col_op.OnWatermark(wm, &col_out).ok());
-      }
-    }
-    const Timestamp final_wm = max_ts + spec.size + spec.slide + 1;
-    ASSERT_TRUE(row_op.OnWatermark(final_wm, &row_out).ok());
-    ASSERT_TRUE(col_op.OnWatermark(final_wm, &col_out).ok());
-
-    EXPECT_EQ(col_op.pairs_evaluated(), row_op.pairs_evaluated());
-    EXPECT_EQ(col_op.StateBytes(), row_op.StateBytes());
-    ASSERT_EQ(col_out.tuples.size(), row_out.tuples.size())
-        << "iter " << iter << " " << cond.ToString();
-    for (size_t i = 0; i < row_out.tuples.size(); ++i) {
-      ExpectSameTuple(col_out.tuples[i], row_out.tuples[i]);
-    }
+    store.Reset(3);
+    EXPECT_EQ(store.rows(), 0u);
+    EXPECT_TRUE(store.empty());
+    EXPECT_EQ(store.num_slots(), 3u);
   }
 }
 

@@ -264,10 +264,10 @@ TEST_F(InvarianceTest, ParallelismMatrixPreservesMatchMultisets) {
             auto compiled = TranslatePattern(c.pattern, opt,
                                              workload_.MakeSourceFactory());
             ASSERT_TRUE(compiled.ok()) << compiled.status();
+            if (!chaining) UnchainAll(&compiled->graph);
             ThreadedExecutorOptions options;
             options.batch_size = batch;
             options.watermark_interval = kEndOfStreamOnly;
-            options.enable_chaining = chaining;
             ThreadedExecutor executor(&compiled->graph, options);
             ExecutionResult result = executor.Run(compiled->sink);
             ASSERT_TRUE(result.ok) << c.name << ": " << result.error;
@@ -294,76 +294,6 @@ TEST_F(InvarianceTest, ParallelismMatrixPreservesMatchMultisets) {
                   << c.name << " parallelism=" << parallelism
                   << " compile_exprs=" << compile_exprs;
             }
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST_F(InvarianceTest, ColumnarTransferPreservesMatchMultisets) {
-  // The columnar (SoA) transfer path is an operational knob, not
-  // semantics: with compiled expressions the source gathers tuples into
-  // ColumnarBatch blocks, the compiled stateless prefix filters them
-  // column-wise (SIMD kernels when built with CEP2ASP_SIMD), and the
-  // blocks either scatter back to rows at the first row-major consumer or
-  // — on hash edges into the SoA join — hash-partition into per-subtask
-  // sub-blocks (PartitionByKey) that the join ingests column-wise. Match
-  // multisets must be identical with the path forced off, for every
-  // pattern shape, parallelism and chaining choice, and with block
-  // hash-partitioning forced off (per-row scatter on hash edges).
-  struct Case {
-    const char* name;
-    Pattern pattern;
-  };
-  std::vector<Case> cases;
-  cases.push_back({"SEQ", Seq3Keyed()});
-  cases.push_back({"ITER", Iter3Keyed()});
-  cases.push_back({"NSEQ", NseqKeyed()});
-
-  TranslatorOptions o3;
-  o3.use_equi_join_keys = true;
-  o3.compile_expressions = true;
-  // End-of-stream watermarks only, for the same reason as the
-  // parallelism matrix above: it isolates the knob under test.
-  constexpr int kEndOfStreamOnly = 1 << 20;
-  for (const Case& c : cases) {
-    auto reference_job =
-        TranslatePattern(c.pattern, o3, workload_.MakeSourceFactory());
-    ASSERT_TRUE(reference_job.ok()) << reference_job.status();
-    ExecutorOptions reference_options;
-    reference_options.watermark_interval = kEndOfStreamOnly;
-    ExecutionResult reference_run =
-        RunJob(&reference_job->graph, reference_job->sink, reference_options);
-    ASSERT_TRUE(reference_run.ok) << reference_run.error;
-    auto reference = test::MatchMultiset(reference_job->sink->tuples());
-    ASSERT_FALSE(reference.empty()) << c.name;
-
-    for (int parallelism : {1, 4}) {
-      for (bool chaining : {true, false}) {
-        for (bool columnar : {true, false}) {
-          for (bool columnar_hash : {true, false}) {
-            // The hash-partition knob only matters when blocks flow.
-            if (!columnar && !columnar_hash) continue;
-            TranslatorOptions opt = o3;
-            opt.parallelism = parallelism;
-            auto compiled = TranslatePattern(c.pattern, opt,
-                                             workload_.MakeSourceFactory());
-            ASSERT_TRUE(compiled.ok()) << compiled.status();
-            ThreadedExecutorOptions options;
-            options.watermark_interval = kEndOfStreamOnly;
-            options.enable_chaining = chaining;
-            options.enable_columnar = columnar;
-            options.columnar_hash_partition = columnar_hash;
-            ThreadedExecutor executor(&compiled->graph, options);
-            ExecutionResult result = executor.Run(compiled->sink);
-            ASSERT_TRUE(result.ok) << c.name << ": " << result.error;
-            EXPECT_EQ(test::MatchMultiset(compiled->sink->tuples()),
-                      reference)
-                << c.name << " parallelism=" << parallelism
-                << " chaining=" << chaining
-                << " columnar=" << columnar
-                << " columnar_hash=" << columnar_hash;
           }
         }
       }

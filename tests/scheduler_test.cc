@@ -194,7 +194,7 @@ TEST(TaskSchedulerTest, CreditParkUnparkResumesProducerExactlyOnce) {
   // unpark or the run either deadlocks (lost wake) or double-enqueues.
   for (const bool spsc : {false, true}) {
     std::unique_ptr<Channel> channel =
-        MakeChannel(/*num_producers=*/1, /*capacity_messages=*/8, spsc);
+        MakeChannel(/*num_producers=*/spsc ? 1 : 2, /*capacity_messages=*/8);
     PushTask producer(channel.get(), /*total=*/500, /*batch_size=*/16);
     PopTask consumer(channel.get());
     TaskScheduler scheduler(2);
@@ -215,8 +215,7 @@ TEST(TaskSchedulerTest, ParkedConsumerShutsDownCleanlyAtEndOfStream) {
   // The producer idles long enough for the consumer to drain nothing and
   // park on input; the end marker must wake it and the scheduler must
   // retire both tasks without leaking a parked task.
-  std::unique_ptr<Channel> channel =
-      MakeChannel(1, 64, /*enable_spsc=*/true);
+  std::unique_ptr<Channel> channel = MakeChannel(1, 64);
   PushTask producer(channel.get(), /*total=*/10, /*batch_size=*/4,
                     /*idle_quanta=*/50);
   PopTask consumer(channel.get());
@@ -358,7 +357,7 @@ JobGraph MakeParallelGraph(int parallelism) {
 TEST(ScheduleRulesTest, ScheduleToStringListsEveryTask) {
   JobGraph graph = MakeParallelGraph(2);
   const std::string layout =
-      ScheduleToString(graph, /*chaining_enabled=*/true, /*worker_threads=*/2);
+      ScheduleToString(graph, /*worker_threads=*/2);
   EXPECT_NE(layout.find("source s"), std::string::npos);
   EXPECT_NE(layout.find("subtask 0"), std::string::npos);
   EXPECT_NE(layout.find("subtask 1"), std::string::npos);
