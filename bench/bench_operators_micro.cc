@@ -179,10 +179,49 @@ BENCHMARK(BM_CepOperatorRunHeavy)->Arg(3000);
 
 // --- Exchange / channel layer ----------------------------------------------
 //
-// The raw cost of moving elements between two threads: per-item mutex
-// queue vs. batched mutex queue vs. batched lock-free SPSC ring. This is
-// the synchronization cost every inter-operator edge of the threaded
-// executor pays per tuple.
+// The raw cost of moving elements between two threads through the two
+// exchange containers, per-item vs. batched: the mutex queue that fan-in > 1
+// edges use and the lock-free SPSC ring of every other edge. Both sides use
+// the non-blocking calls the executor makes and yield where a task would
+// park, so this is the synchronization cost an inter-operator edge pays per
+// tuple.
+
+template <typename Queue>
+int64_t TransferThrough(Queue* queue, int64_t n, size_t batch) {
+  int64_t consumed_sum = 0;
+  std::thread consumer([queue, &consumed_sum] {
+    std::vector<int64_t> popped;
+    bool eos = false;
+    while (!eos) {
+      if (queue->TryPopN(&popped, 64, &eos) == 0) {
+        std::this_thread::yield();
+        continue;
+      }
+      for (int64_t v : popped) consumed_sum += v;
+    }
+  });
+  std::vector<int64_t> out;
+  out.reserve(batch);
+  auto flush = [queue, &out] {
+    size_t done = 0;
+    bool closed = false;
+    while (done < out.size()) {
+      const size_t moved =
+          queue->TryPushN(out.data() + done, out.size() - done, &closed);
+      if (moved == 0) std::this_thread::yield();
+      done += moved;
+    }
+    out.clear();
+  };
+  for (int64_t i = 0; i < n; ++i) {
+    out.push_back(i);
+    if (out.size() >= batch) flush();
+  }
+  flush();
+  queue->Close();
+  consumer.join();
+  return consumed_sum;
+}
 
 void BM_RawChannelTransfer(benchmark::State& state) {
   const bool spsc = state.range(0) != 0;
@@ -192,39 +231,10 @@ void BM_RawChannelTransfer(benchmark::State& state) {
     int64_t consumed_sum = 0;
     if (spsc) {
       SpscRing<int64_t> ring(4096);
-      std::thread consumer([&ring, &consumed_sum] {
-        std::vector<int64_t> popped;
-        while (true) {
-          if (ring.PopN(&popped, 64) == 0) break;
-          for (int64_t v : popped) consumed_sum += v;
-        }
-      });
-      std::vector<int64_t> out;
-      out.reserve(batch);
-      for (int64_t i = 0; i < n; ++i) {
-        out.push_back(i);
-        if (out.size() >= batch) ring.PushAll(&out);
-      }
-      ring.PushAll(&out);
-      ring.Close();
-      consumer.join();
+      consumed_sum = TransferThrough(&ring, n, batch);
     } else {
       BoundedQueue<int64_t> queue(4096);
-      std::thread consumer([&queue, &consumed_sum] {
-        std::vector<int64_t> popped;
-        while (queue.PopBatch(&popped, 64) > 0) {
-          for (int64_t v : popped) consumed_sum += v;
-        }
-      });
-      std::vector<int64_t> out;
-      out.reserve(batch);
-      for (int64_t i = 0; i < n; ++i) {
-        out.push_back(i);
-        if (out.size() >= batch) queue.PushBatch(&out);
-      }
-      queue.PushBatch(&out);
-      queue.Close();
-      consumer.join();
+      consumed_sum = TransferThrough(&queue, n, batch);
     }
     benchmark::DoNotOptimize(consumed_sum);
   }

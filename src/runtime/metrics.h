@@ -29,9 +29,9 @@ struct LatencyStats {
 /// executor (the input of one operator), snapshot after the run.
 ///
 /// Makes the micro-batching win observable: `batches` vs `messages` shows
-/// the achieved amortization (avg_fill), the histogram shows whether
-/// batches actually fill, and `blocked_push_nanos` is the time producers
-/// spent stalled on backpressure.
+/// the achieved amortization (avg_fill), and the histogram shows whether
+/// batches actually fill. Backpressure does not show here: a full channel
+/// parks the producing task on a credit (SchedulerStats counts the parks).
 struct ChannelStats {
   std::string consumer;  // name of the operator this channel feeds
   int subtask = 0;       // consumer subtask instance (keyed parallelism)
@@ -52,6 +52,8 @@ struct ChannelStats {
   /// benchmark still reads them.
   int64_t columnar_blocks = 0;
   int64_t scattered_rows = 0;
+  /// Left from the retired blocking push and always 0: no push waits.
+  /// Kept only because the end-to-end benchmark still reads it.
   int64_t blocked_push_nanos = 0;
 
   /// fill_hist[b] counts pushed batches by fill level: bucket 0 holds

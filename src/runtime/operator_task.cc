@@ -261,7 +261,7 @@ Quantum SourceTask::RunQuantum() {
   }
   Clock* clock = ctx_->clock;
   bool more = true;
-  while (q.batches < ctx_->quantum_batches) {
+  while (q.batches < kQuantumBatches) {
     staged_.clear();
     bool paced = false;
     Tuple tuple;
@@ -512,7 +512,7 @@ void ChainTask::ProcessBatch(MessageBatch* batch) {
 void ChainTask::AdaptBatch(int batches_used, bool starved) {
   if (starved && batches_used == 0) {
     cur_batch_ = std::max<size_t>(1, cur_batch_ / 2);
-  } else if (batches_used >= ctx_->quantum_batches) {
+  } else if (batches_used >= kQuantumBatches) {
     cur_batch_ =
         std::min(std::max<size_t>(1, ctx_->batch_size), cur_batch_ * 2);
   }
@@ -553,7 +553,7 @@ Quantum ChainTask::RunQuantum() {
     }
   }
   bool stalled = false;
-  while (q.batches < ctx_->quantum_batches && phase_ == Phase::kRun) {
+  while (q.batches < kQuantumBatches && phase_ == Phase::kRun) {
     bool eos = false;
     const size_t popped = input_->TryPopBatch(&in_, cur_batch_, &eos);
     if (popped == 0) {

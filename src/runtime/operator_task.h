@@ -177,6 +177,11 @@ class ChainedCollector : public Collector {
   int subtask_;
 };
 
+/// Input batches one task processes before it yields its worker (the
+/// cooperative quantum). Larger quanta amortize scheduling overhead;
+/// smaller ones interleave co-scheduled tasks more finely.
+inline constexpr int kQuantumBatches = 8;
+
 /// Shared environment of every task of one execution; owned by the
 /// executor and outliving the scheduler run.
 struct TaskContext {
@@ -187,7 +192,6 @@ struct TaskContext {
   /// edges, written by the owning chain task only.
   std::vector<std::vector<int64_t>>* fused_tuples = nullptr;
   size_t batch_size = 64;
-  int quantum_batches = 8;
   int watermark_interval = 256;
   Clock* clock = nullptr;
   InvariantChecker* invariants = nullptr;  // null outside debug wiring

@@ -33,11 +33,6 @@ struct ThreadedExecutorOptions {
   /// std::thread::hardware_concurrency().
   int worker_threads = 0;
 
-  /// Input batches one task may process before yielding the worker
-  /// (cooperative quantum). Larger quanta amortize scheduling overhead;
-  /// smaller quanta interleave co-scheduled tasks more finely.
-  int quantum_batches = 8;
-
   Clock* clock = nullptr;
 };
 

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <thread>
+#include <vector>
 
 #include "asp/stateless.h"
 #include "runtime/bounded_queue.h"
@@ -30,86 +32,156 @@ std::vector<SimpleEvent> MakeEvents(EventTypeId type, int count,
   return events;
 }
 
-// --- BoundedQueue -----------------------------------------------------------
+// --- Exchange containers -----------------------------------------------------
+//
+// Both containers are non-blocking: TryPushN moves the prefix that fits and
+// TryPopN takes what is there; the task scheduler does all waiting. The
+// helpers below make one call each.
+
+template <typename Queue>
+size_t PushInts(Queue* q, std::vector<int> items, bool* closed = nullptr) {
+  bool was_closed = false;
+  const size_t moved = q->TryPushN(items.data(), items.size(), &was_closed);
+  if (closed != nullptr) *closed = was_closed;
+  return moved;
+}
+
+template <typename Queue>
+std::vector<int> PopInts(Queue* q, size_t max_items, bool* eos = nullptr) {
+  std::vector<int> out;
+  bool end = false;
+  q->TryPopN(&out, max_items, &end);
+  if (eos != nullptr) *eos = end;
+  return out;
+}
+
+// Producer and consumer loops as a task would run them, with a yield in
+// place of parking when a call moves nothing.
+template <typename Queue, typename T>
+void PushAllYielding(Queue* q, std::vector<T>* items) {
+  size_t done = 0;
+  while (done < items->size()) {
+    bool closed = false;
+    const size_t moved =
+        q->TryPushN(items->data() + done, items->size() - done, &closed);
+    ASSERT_FALSE(closed);
+    done += moved;
+    if (moved == 0) std::this_thread::yield();
+  }
+  items->clear();
+}
+
+template <typename Queue, typename T, typename Fn>
+void DrainYielding(Queue* q, size_t max_items, Fn on_item) {
+  std::vector<T> popped;
+  bool eos = false;
+  while (!eos) {
+    if (q->TryPopN(&popped, max_items, &eos) == 0) {
+      std::this_thread::yield();
+      continue;
+    }
+    for (const T& v : popped) on_item(v);
+  }
+}
+
+// --- BoundedQueue ------------------------------------------------------------
 
 TEST(BoundedQueueTest, FifoOrder) {
   BoundedQueue<int> q(4);
-  q.Push(1);
-  q.Push(2);
-  EXPECT_EQ(q.Pop().value(), 1);
-  EXPECT_EQ(q.Pop().value(), 2);
+  ASSERT_EQ(PushInts(&q, {1}), 1u);
+  ASSERT_EQ(PushInts(&q, {2}), 1u);
+  EXPECT_EQ(PopInts(&q, 1), std::vector<int>{1});
+  EXPECT_EQ(PopInts(&q, 1), std::vector<int>{2});
 }
 
 TEST(BoundedQueueTest, CloseDrainsThenEnds) {
   BoundedQueue<int> q(4);
-  q.Push(7);
+  ASSERT_EQ(PushInts(&q, {7}), 1u);
   q.Close();
-  EXPECT_EQ(q.Pop().value(), 7);
-  EXPECT_FALSE(q.Pop().has_value());
-  EXPECT_FALSE(q.Push(8));
+  bool eos = true;
+  EXPECT_EQ(PopInts(&q, 64, &eos), std::vector<int>{7});
+  EXPECT_FALSE(eos);
+  EXPECT_TRUE(PopInts(&q, 64, &eos).empty());
+  EXPECT_TRUE(eos);
+  bool closed = false;
+  EXPECT_EQ(PushInts(&q, {8}, &closed), 0u);
+  EXPECT_TRUE(closed);
 }
 
-TEST(BoundedQueueTest, BlocksProducerAtCapacity) {
+TEST(BoundedQueueTest, FullQueueTakesNothing) {
   BoundedQueue<int> q(1);
-  q.Push(1);
-  std::atomic<bool> pushed{false};
-  std::thread producer([&] {
-    q.Push(2);
-    pushed = true;
-  });
-  // Producer must be blocked while the queue is full.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(pushed.load());
-  EXPECT_EQ(q.Pop().value(), 1);
-  producer.join();
-  EXPECT_TRUE(pushed.load());
-  EXPECT_EQ(q.Pop().value(), 2);
+  ASSERT_EQ(PushInts(&q, {1}), 1u);
+  bool closed = true;
+  EXPECT_EQ(PushInts(&q, {2}, &closed), 0u);
+  EXPECT_FALSE(closed);  // full, not closed: the producer parks on a credit
+  EXPECT_EQ(PopInts(&q, 64), std::vector<int>{1});
+  EXPECT_EQ(PushInts(&q, {2}), 1u);
+  EXPECT_EQ(PopInts(&q, 64), std::vector<int>{2});
 }
 
-TEST(BoundedQueueTest, PushBatchAccountsCapacityInItems) {
+TEST(BoundedQueueTest, TryPushNAccountsCapacityInItems) {
   BoundedQueue<int> q(4);
-  std::vector<int> batch = {1, 2, 3};
-  ASSERT_TRUE(q.PushBatch(&batch));
-  EXPECT_TRUE(batch.empty());  // moved out, reusable
-  EXPECT_EQ(q.size(), 3u);
-
-  // A second batch of 3 exceeds the capacity of 4: the producer must block
-  // until the consumer frees space.
-  batch = {4, 5, 6};
-  std::atomic<bool> pushed{false};
-  std::thread producer([&] {
-    q.PushBatch(&batch);
-    pushed = true;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(pushed.load());
-  std::vector<int> popped;
-  ASSERT_EQ(q.PopBatch(&popped, 64), 3u);
-  EXPECT_EQ(popped, (std::vector<int>{1, 2, 3}));
-  producer.join();
-  EXPECT_TRUE(pushed.load());
-  ASSERT_EQ(q.PopBatch(&popped, 2), 2u);
-  EXPECT_EQ(popped, (std::vector<int>{4, 5}));
+  ASSERT_EQ(PushInts(&q, {1, 2, 3}), 3u);
+  // Of the next three only one fits the capacity of 4.
+  ASSERT_EQ(PushInts(&q, {4, 5, 6}), 1u);
+  EXPECT_EQ(PopInts(&q, 64), (std::vector<int>{1, 2, 3, 4}));
+  // The retried suffix goes through once the consumer freed space.
+  ASSERT_EQ(PushInts(&q, {5, 6}), 2u);
+  EXPECT_EQ(PopInts(&q, 1), std::vector<int>{5});
+  EXPECT_EQ(PopInts(&q, 64), std::vector<int>{6});
 }
 
-TEST(BoundedQueueTest, OversizedBatchAdmittedIntoEmptyQueue) {
+TEST(BoundedQueueTest, OversizedBatchMovesOnlyTheFreePrefix) {
   BoundedQueue<int> q(2);
-  std::vector<int> batch = {1, 2, 3, 4, 5};
-  ASSERT_TRUE(q.PushBatch(&batch));  // must not deadlock
-  std::vector<int> popped;
-  EXPECT_EQ(q.PopBatch(&popped, 64), 5u);
+  EXPECT_EQ(PushInts(&q, {1, 2, 3, 4, 5}), 2u);
+  EXPECT_EQ(PopInts(&q, 64), (std::vector<int>{1, 2}));
+  EXPECT_EQ(PushInts(&q, {3, 4, 5}), 2u);
+  EXPECT_EQ(PopInts(&q, 64), (std::vector<int>{3, 4}));
+  EXPECT_EQ(PushInts(&q, {5}), 1u);
+  EXPECT_EQ(PopInts(&q, 64), std::vector<int>{5});
 }
 
-TEST(BoundedQueueTest, PopBatchDrainsThenSignalsClose) {
+TEST(BoundedQueueTest, TryPopNDrainsThenSignalsEndOfStream) {
   BoundedQueue<int> q(8);
-  std::vector<int> batch = {7, 8};
-  ASSERT_TRUE(q.PushBatch(&batch));
+  bool eos = true;
+  EXPECT_TRUE(PopInts(&q, 64, &eos).empty());
+  EXPECT_FALSE(eos);  // empty but open: the consumer parks
+  ASSERT_EQ(PushInts(&q, {7, 8}), 2u);
   q.Close();
-  std::vector<int> popped;
-  EXPECT_EQ(q.PopBatch(&popped, 64), 2u);
-  EXPECT_EQ(q.PopBatch(&popped, 64), 0u);
-  batch = {9};
-  EXPECT_FALSE(q.PushBatch(&batch));
+  EXPECT_EQ(PopInts(&q, 1, &eos), std::vector<int>{7});
+  EXPECT_FALSE(eos);
+  EXPECT_EQ(PopInts(&q, 64, &eos), std::vector<int>{8});
+  EXPECT_FALSE(eos);
+  EXPECT_TRUE(PopInts(&q, 64, &eos).empty());
+  EXPECT_TRUE(eos);
+}
+
+TEST(BoundedQueueTest, TwoProducersKeepPerProducerOrder) {
+  BoundedQueue<int64_t> q(64);
+  constexpr int64_t kCount = 20000;
+  auto produce = [&q](int64_t tag) {
+    std::vector<int64_t> batch;
+    for (int64_t i = 0; i < kCount; ++i) {
+      batch.push_back(tag * kCount + i);
+      if (batch.size() == 7) PushAllYielding(&q, &batch);
+    }
+    PushAllYielding(&q, &batch);
+  };
+  int64_t next[2] = {0, 0};
+  std::thread consumer([&q, &next] {
+    DrainYielding<BoundedQueue<int64_t>, int64_t>(&q, 13, [&next](int64_t v) {
+      const int64_t tag = v / kCount;
+      EXPECT_EQ(v % kCount, next[tag]++);
+    });
+  });
+  std::thread p0(produce, 0);
+  std::thread p1(produce, 1);
+  p0.join();
+  p1.join();
+  q.Close();
+  consumer.join();
+  EXPECT_EQ(next[0], kCount);
+  EXPECT_EQ(next[1], kCount);
 }
 
 // --- SpscRing ----------------------------------------------------------------
@@ -120,14 +192,14 @@ TEST(SpscRingTest, FifoOrderWithWraparound) {
   int next_push = 0, next_pop = 0;
   // Push/pop interleaved so the indices wrap the ring many times.
   for (int round = 0; round < 100; ++round) {
-    for (int i = 0; i < 3; ++i) ASSERT_TRUE(ring.Push(next_push++));
+    for (int i = 0; i < 3; ++i) ASSERT_EQ(PushInts(&ring, {next_push++}), 1u);
     for (int i = 0; i < 3; ++i) {
-      auto v = ring.Pop();
-      ASSERT_TRUE(v.has_value());
-      EXPECT_EQ(*v, next_pop++);
+      EXPECT_EQ(PopInts(&ring, 1), std::vector<int>{next_pop++});
     }
   }
-  EXPECT_TRUE(ring.Empty());
+  bool eos = true;
+  EXPECT_TRUE(PopInts(&ring, 64, &eos).empty());
+  EXPECT_FALSE(eos);
 }
 
 TEST(SpscRingTest, CrossThreadTransferPreservesOrder) {
@@ -137,67 +209,64 @@ TEST(SpscRingTest, CrossThreadTransferPreservesOrder) {
     std::vector<int64_t> batch;
     for (int64_t i = 0; i < kCount; ++i) {
       batch.push_back(i);
-      if (batch.size() == 7) {
-        ASSERT_TRUE(ring.PushAll(&batch));
-      }
+      if (batch.size() == 7) PushAllYielding(&ring, &batch);
     }
-    ASSERT_TRUE(ring.PushAll(&batch));
+    PushAllYielding(&ring, &batch);
     ring.Close();
   });
-  std::vector<int64_t> popped;
   int64_t expected = 0;
-  while (ring.PopN(&popped, 13) > 0) {
-    for (int64_t v : popped) EXPECT_EQ(v, expected++);
-  }
+  DrainYielding<SpscRing<int64_t>, int64_t>(
+      &ring, 13, [&expected](int64_t v) { EXPECT_EQ(v, expected++); });
   producer.join();
   EXPECT_EQ(expected, kCount);
 }
 
-TEST(SpscRingTest, CloseUnblocksProducerMidBatch) {
+TEST(SpscRingTest, PartialPushThenCloseRejectsTheRest) {
   SpscRing<int> ring(4);
-  // Fill the ring, then push a batch that cannot fully fit: the producer
-  // publishes a partial chunk and blocks for the rest.
-  std::vector<int> fill = {0, 1, 2, 3};
-  ASSERT_TRUE(ring.PushAll(&fill));
-  std::atomic<bool> returned{false};
-  std::atomic<bool> result{true};
-  std::thread producer([&] {
-    std::vector<int> batch = {4, 5, 6};
-    result = ring.PushAll(&batch);
-    returned = true;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(returned.load());
+  ASSERT_EQ(PushInts(&ring, {0, 1, 2, 3}), 4u);
+  bool closed = true;
+  EXPECT_EQ(PushInts(&ring, {4, 5, 6}, &closed), 0u);  // full
+  EXPECT_FALSE(closed);
+  EXPECT_EQ(PopInts(&ring, 2), (std::vector<int>{0, 1}));
+  EXPECT_EQ(PushInts(&ring, {4, 5, 6}), 2u);  // only the free prefix
   ring.Close();
-  producer.join();
-  EXPECT_TRUE(returned.load());
-  EXPECT_FALSE(result.load());  // remaining items dropped
-  // The consumer still drains everything published before the close.
-  std::vector<int> popped;
-  size_t drained = 0;
-  while (ring.PopN(&popped, 64) > 0) drained += popped.size();
-  EXPECT_GE(drained, 4u);
+  EXPECT_EQ(PushInts(&ring, {6}, &closed), 0u);
+  EXPECT_TRUE(closed);
+  // The consumer still drains everything published before the close. A
+  // pop may stop at the consumer's cached view of the tail, so drain until
+  // end-of-stream.
+  std::vector<int> drained;
+  DrainYielding<SpscRing<int>, int>(
+      &ring, 64, [&drained](int v) { drained.push_back(v); });
+  EXPECT_EQ(drained, (std::vector<int>{2, 3, 4, 5}));
 }
 
-TEST(SpscRingTest, CloseUnblocksConsumer) {
+TEST(SpscRingTest, CloseEndsStreamForPollingConsumer) {
   SpscRing<int> ring(4);
-  std::atomic<bool> got_end{false};
-  std::thread consumer([&] {
-    std::vector<int> popped;
-    while (ring.PopN(&popped, 8) > 0) {
-    }
-    got_end = true;
+  bool eos = true;
+  EXPECT_TRUE(PopInts(&ring, 8, &eos).empty());
+  EXPECT_FALSE(eos);  // empty but open: the consumer parks
+  int64_t seen = 0;
+  std::thread consumer([&ring, &seen] {
+    DrainYielding<SpscRing<int>, int>(&ring, 8, [&seen](int) { ++seen; });
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
   ring.Close();
   consumer.join();
-  EXPECT_TRUE(got_end.load());
+  EXPECT_EQ(seen, 0);
 }
 
 // --- Channels ----------------------------------------------------------------
 
-std::unique_ptr<Channel> MakeTestChannel(bool spsc) {
-  return MakeChannel(spsc ? 1 : 2, /*capacity_messages=*/1024);
+std::unique_ptr<Channel> MakeTestChannel(bool spsc, size_t capacity = 1024) {
+  return MakeChannel(spsc ? 1 : 2, capacity);
+}
+
+MessageBatch DataBatch(int count) {
+  MessageBatch batch;
+  for (int i = 0; i < count; ++i) {
+    batch.push_back(Message::Data(0, Tuple(test::Ev(0, i, 1000 + i))));
+  }
+  return batch;
 }
 
 TEST(ChannelTest, SelectionByFanIn) {
@@ -209,22 +278,21 @@ TEST(ChannelTest, ControlStaysBehindTuplesAcrossBatchBoundaries) {
   for (bool spsc : {false, true}) {
     auto channel = MakeTestChannel(spsc);
     ASSERT_EQ(channel->is_spsc(), spsc);
-    MessageBatch batch;
-    for (int i = 0; i < 5; ++i) {
-      batch.push_back(Message::Data(0, Tuple(test::Ev(0, i, 1000 + i))));
-    }
+    MessageBatch batch = DataBatch(5);
     batch.push_back(Message::Control(MessageKind::kWatermark, 0, 999));
-    ASSERT_TRUE(channel->PushBatch(&batch));
+    ASSERT_EQ(channel->TryPushBatch(&batch), TryPush::kPushed);
     batch.push_back(Message::Control(MessageKind::kEnd, 0, 0));
-    ASSERT_TRUE(channel->PushBatch(&batch));
+    ASSERT_EQ(channel->TryPushBatch(&batch), TryPush::kPushed);
     channel->Close();
 
     // Pop with a smaller batch limit than was pushed: order must hold.
     std::vector<MessageKind> kinds;
     MessageBatch in;
-    while (channel->PopBatch(&in, 2)) {
+    bool eos = false;
+    while (channel->TryPopBatch(&in, 2, &eos) > 0) {
       for (const Message& m : in) kinds.push_back(m.kind);
     }
+    EXPECT_TRUE(eos);
     ASSERT_EQ(kinds.size(), 7u) << (spsc ? "spsc" : "mpmc");
     for (int i = 0; i < 5; ++i) EXPECT_EQ(kinds[i], MessageKind::kTuple);
     EXPECT_EQ(kinds[5], MessageKind::kWatermark);
@@ -233,21 +301,105 @@ TEST(ChannelTest, ControlStaysBehindTuplesAcrossBatchBoundaries) {
 }
 
 TEST(ChannelTest, SnapshotCountsBatchesAndMessages) {
-  auto channel = MakeTestChannel(true);
-  MessageBatch batch;
-  for (int i = 0; i < 64; ++i) {
-    batch.push_back(Message::Data(0, Tuple(test::Ev(0, i, i))));
+  for (bool spsc : {false, true}) {
+    auto channel = MakeTestChannel(spsc);
+    MessageBatch batch = DataBatch(64);
+    ASSERT_EQ(channel->TryPushBatch(&batch), TryPush::kPushed);
+    batch = DataBatch(1);
+    ASSERT_EQ(channel->TryPushBatch(&batch), TryPush::kPushed);
+    ChannelStats stats = channel->Snapshot("op");
+    EXPECT_EQ(stats.batches, 2);
+    EXPECT_EQ(stats.messages, 65);
+    EXPECT_EQ(stats.fill_hist[ChannelStats::FillBucket(64)], 1);
+    EXPECT_EQ(stats.fill_hist[ChannelStats::FillBucket(1)], 1);
+    EXPECT_EQ(stats.spsc, spsc);
+    EXPECT_DOUBLE_EQ(stats.avg_fill(), 32.5);
   }
-  ASSERT_TRUE(channel->PushBatch(&batch));
-  batch.push_back(Message::Data(0, Tuple(test::Ev(0, 64, 64))));
-  ASSERT_TRUE(channel->PushBatch(&batch));
-  ChannelStats stats = channel->Snapshot("op");
-  EXPECT_EQ(stats.batches, 2);
-  EXPECT_EQ(stats.messages, 65);
-  EXPECT_EQ(stats.fill_hist[ChannelStats::FillBucket(64)], 1);
-  EXPECT_EQ(stats.fill_hist[ChannelStats::FillBucket(1)], 1);
-  EXPECT_TRUE(stats.spsc);
-  EXPECT_DOUBLE_EQ(stats.avg_fill(), 32.5);
+}
+
+// The executor's backpressure contract: a push into a nearly full channel
+// moves the free prefix and reports kBlocked, the producing task retries
+// the suffix with first_attempt == false after a credit, and the stats
+// count the logical batch once but every message.
+TEST(ChannelTest, PartialPushMovesFreePrefixAndRetryCountsOnce) {
+  for (bool spsc : {false, true}) {
+    SCOPED_TRACE(spsc ? "spsc" : "mpmc");
+    auto channel = MakeTestChannel(spsc, /*capacity=*/8);
+    int pushes = 0, credits = 0;
+    channel->SetReadinessHooks([&pushes] { ++pushes; },
+                               [&credits] { ++credits; });
+    MessageBatch first = DataBatch(4);
+    ASSERT_EQ(channel->TryPushBatch(&first), TryPush::kPushed);
+    EXPECT_TRUE(first.empty());
+
+    MessageBatch batch = DataBatch(6);
+    batch.hdr_valid = true;
+    batch.hdr_port = 1;
+    batch.hdr_slot = 3;
+    ASSERT_EQ(channel->TryPushBatch(&batch), TryPush::kBlocked);
+    ASSERT_EQ(batch.size(), 2u);  // the unmoved suffix stays with the producer
+    EXPECT_EQ(pushes, 2);
+    // Still full: a retry moves nothing and wakes nobody.
+    ASSERT_EQ(channel->TryPushBatch(&batch, /*first_attempt=*/false),
+              TryPush::kBlocked);
+    EXPECT_EQ(pushes, 2);
+
+    MessageBatch in;
+    bool eos = true;
+    ASSERT_EQ(channel->TryPopBatch(&in, 64, &eos), 8u);
+    EXPECT_FALSE(eos);
+    EXPECT_EQ(credits, 1);
+    std::vector<Message> popped(in.begin(), in.end());
+
+    ASSERT_EQ(channel->TryPushBatch(&batch, /*first_attempt=*/false),
+              TryPush::kPushed);
+    EXPECT_TRUE(batch.empty());
+    EXPECT_EQ(pushes, 3);
+    ASSERT_EQ(channel->TryPopBatch(&in, 64, &eos), 2u);
+    popped.insert(popped.end(), in.begin(), in.end());
+
+    ASSERT_EQ(popped.size(), 10u);
+    for (size_t i = 0; i < 4; ++i) {
+      EXPECT_EQ(popped[i].port, 0);
+      EXPECT_EQ(popped[i].slot, 0);
+    }
+    // The header reaches the retried suffix as well as the first prefix.
+    for (size_t i = 4; i < 10; ++i) {
+      EXPECT_EQ(popped[i].port, 1) << i;
+      EXPECT_EQ(popped[i].slot, 3) << i;
+    }
+
+    ChannelStats stats = channel->Snapshot("op");
+    EXPECT_EQ(stats.batches, 2);
+    EXPECT_EQ(stats.messages, 10);
+    EXPECT_EQ(stats.tuples, 10);
+    int64_t hist_total = 0;
+    for (int64_t n : stats.fill_hist) hist_total += n;
+    EXPECT_EQ(hist_total, 2);
+    EXPECT_EQ(stats.fill_hist[ChannelStats::FillBucket(4)], 1);
+    EXPECT_EQ(stats.fill_hist[ChannelStats::FillBucket(6)], 1);
+  }
+}
+
+TEST(ChannelTest, PushAfterCloseReportsClosedAndDropsBatch) {
+  for (bool spsc : {false, true}) {
+    SCOPED_TRACE(spsc ? "spsc" : "mpmc");
+    auto channel = MakeTestChannel(spsc);
+    MessageBatch batch = DataBatch(1);
+    ASSERT_EQ(channel->TryPushBatch(&batch), TryPush::kPushed);
+    channel->Close();
+    batch = DataBatch(2);
+    EXPECT_EQ(channel->TryPushBatch(&batch), TryPush::kClosed);
+    EXPECT_TRUE(batch.empty());
+    EXPECT_EQ(channel->Snapshot("op").messages, 1);
+
+    MessageBatch in;
+    bool eos = true;
+    EXPECT_EQ(channel->TryPopBatch(&in, 64, &eos), 1u);
+    EXPECT_FALSE(eos);
+    EXPECT_EQ(channel->TryPopBatch(&in, 64, &eos), 0u);
+    EXPECT_TRUE(eos);
+  }
 }
 
 TEST(ChannelStatsTest, FillBuckets) {
