@@ -1,7 +1,6 @@
 #include "asp/sliding_window_join.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/logging.h"
 
@@ -9,19 +8,40 @@ namespace cep2asp {
 
 namespace {
 
-/// Index of the first element of ts[lo, hi) not below `v` (the columns are
-/// sorted ranges once SortIfNeeded ran).
+/// Index of the first element of ts[lo, hi) not below `v` (window stores
+/// keep their event times sorted).
 size_t LowerBoundTs(const Timestamp* ts, size_t lo, size_t hi, Timestamp v) {
   return static_cast<size_t>(std::lower_bound(ts + lo, ts + hi, v) - ts);
 }
 
 }  // namespace
 
-void SlidingWindowJoinOperator::SortIfNeeded(SideBuffer* side) {
-  if (!side->sorted) {
-    side->rows.StableSortByEventTime(side->head);
-    side->sorted = true;
+void SlidingWindowJoinOperator::SideBuffer::Insert(const Tuple& tuple) {
+  if (ts.empty()) arity = tuple.size();  // shape the store on first append
+  CEP2ASP_DCHECK(tuple.size() == arity)
+      << "tuple arity " << tuple.size() << " vs store shape " << arity;
+  const Timestamp t = tuple.event_time();
+  if (ts.empty() || t >= ts.back()) {
+    ts.push_back(t);
+    events.insert(events.end(), tuple.begin(), tuple.end());
+    return;
   }
+  // Out of order (interleaved producers, or partial matches stamped with
+  // their min ts): upper_bound keeps equal times in arrival order, which
+  // is what a stable sort of the arrival sequence would produce.
+  const auto pos = std::upper_bound(
+      ts.begin() + static_cast<ptrdiff_t>(head), ts.end(), t);
+  const size_t at = static_cast<size_t>(pos - ts.begin());
+  ts.insert(pos, t);
+  events.insert(events.begin() + static_cast<ptrdiff_t>(at * arity),
+                tuple.begin(), tuple.end());
+}
+
+void SlidingWindowJoinOperator::SideBuffer::ErasePrefix() {
+  events.erase(events.begin(),
+               events.begin() + static_cast<ptrdiff_t>(head * arity));
+  ts.erase(ts.begin(), ts.begin() + static_cast<ptrdiff_t>(head));
+  head = 0;
 }
 
 SlidingWindowJoinOperator::SlidingWindowJoinOperator(SlidingWindowSpec window,
@@ -56,18 +76,9 @@ SlidingWindowJoinOperator::KeyState& SlidingWindowJoinOperator::StateForKey(
 Status SlidingWindowJoinOperator::Process(int input, Tuple tuple, Collector*) {
   CEP2ASP_DCHECK(input == 0 || input == 1);
   KeyState& key_state = StateForKey(tuple.key());
-  SideBuffer& side = key_state.sides[input];
-  if (side.rows.rows() == 0 && side.rows.num_slots() != tuple.size()) {
-    side.rows.Reset(tuple.size());  // shape the SoA store on first append
-  }
   state_bytes_ += RowBytes(tuple.size());
-  if (!side.empty() &&
-      tuple.event_time() < side.rows.event_time(side.rows.rows() - 1)) {
-    side.sorted = false;
-  }
-  side.min_ts = std::min(side.min_ts, tuple.event_time());
   min_buffered_ts_ = std::min(min_buffered_ts_, tuple.event_time());
-  side.rows.AppendTuple(tuple);
+  key_state.sides[input].Insert(tuple);
   return Status::OK();
 }
 
@@ -122,66 +133,54 @@ void SlidingWindowJoinOperator::FireWindows(Timestamp watermark,
 void SlidingWindowJoinOperator::FireWindow(int64_t k, Collector* out) {
   const Timestamp begin = window_.WindowStart(k);
   const Timestamp end = window_.WindowEnd(k);
-  for (KeyEntry& entry : keys_) {
-    KeyState& key_state = entry.state;
-    SideBuffer& left = key_state.sides[0];
-    SideBuffer& right = key_state.sides[1];
+  // Rows in window k's newest slide [end - slide, end) have k as their
+  // first window, so under dedup_pairs a pair is emitted here iff at least
+  // one of its rows lies in that slide.
+  const Timestamp fresh = end - window_.slide;
+  const bool check_condition = !condition_.IsTrue();
+  for (const KeyEntry& entry : keys_) {
+    const SideBuffer& left = entry.state.sides[0];
+    const SideBuffer& right = entry.state.sides[1];
     if (left.empty() || right.empty()) continue;
-    SortIfNeeded(&left);
-    SortIfNeeded(&right);
 
-    // Range binary searches walk the contiguous event-time columns.
-    const Timestamp* lts = left.rows.event_times();
-    const Timestamp* rts = right.rows.event_times();
-    const size_t l_lo = LowerBoundTs(lts, left.head, left.rows.rows(), begin);
-    const size_t l_hi = LowerBoundTs(lts, l_lo, left.rows.rows(), end);
+    const Timestamp* lts = left.ts.data();
+    const Timestamp* rts = right.ts.data();
+    const size_t l_lo = LowerBoundTs(lts, left.head, left.rows(), begin);
+    const size_t l_hi = LowerBoundTs(lts, l_lo, left.rows(), end);
     if (l_lo == l_hi) continue;
-    const size_t r_lo = LowerBoundTs(rts, right.head, right.rows.rows(), begin);
-    const size_t r_hi = LowerBoundTs(rts, r_lo, right.rows.rows(), end);
+    const size_t r_lo = LowerBoundTs(rts, right.head, right.rows(), begin);
+    const size_t r_hi = LowerBoundTs(rts, r_lo, right.rows(), end);
     if (r_lo == r_hi) continue;
+    // Every pair in the two ranges counts as evaluated, including those
+    // the dedup test skips without touching them.
+    pairs_evaluated_ += static_cast<int64_t>((l_hi - l_lo) * (r_hi - r_lo));
+    const size_t r_fresh =
+        dedup_pairs_ ? LowerBoundTs(rts, r_lo, r_hi, fresh) : r_lo;
 
-    const size_t ln = left.rows.num_slots();
-    const size_t rn = right.rows.num_slots();
-    const size_t r_cnt = r_hi - r_lo;
-    // Pre-gather the right range once per (key, window): every (l, r)
-    // pair then reuses it with one contiguous copy, where the row-major
-    // probe concatenated two Tuples per evaluated pair.
-    right_scratch_.resize(r_cnt * rn);
-    for (size_t r = 0; r < r_cnt; ++r) {
-      for (size_t s = 0; s < rn; ++s) {
-        right_scratch_[r * rn + s] = right.rows.RowEvent(s, r_lo + r);
-      }
-    }
-    scratch_.resize(ln + rn);
+    const size_t ln = left.arity;
+    const size_t rn = right.arity;
     for (size_t l = l_lo; l != l_hi; ++l) {
-      for (size_t s = 0; s < ln; ++s) scratch_[s] = left.rows.RowEvent(s, l);
-      const int64_t l_first = dedup_pairs_ ? window_.FirstWindow(lts[l]) : 0;
-      for (size_t r = 0; r < r_cnt; ++r) {
-        ++pairs_evaluated_;
-        if (dedup_pairs_) {
-          // First window containing both sides; skip re-emissions from
-          // later overlapping windows.
-          const int64_t first_common =
-              std::max(l_first, window_.FirstWindow(rts[r_lo + r]));
-          if (first_common != k) continue;
-        }
-        std::copy(right_scratch_.begin() + static_cast<ptrdiff_t>(r * rn),
-                  right_scratch_.begin() + static_cast<ptrdiff_t>((r + 1) * rn),
-                  scratch_.begin() + static_cast<ptrdiff_t>(ln));
-        if (!condition_.IsTrue() &&
-            !condition_.EvalOnEvents(scratch_.data(), ln + rn)) {
+      const SimpleEvent* lrow = left.row(l);
+      const size_t r_begin = lts[l] >= fresh ? r_lo : r_fresh;
+      for (size_t r = r_begin; r != r_hi; ++r) {
+        const SimpleEvent* rrow = right.row(r);
+        if (check_condition && !condition_.EvalOnPair(lrow, ln, rrow)) {
           continue;
         }
         // Materialize the output tuple only for matches: concatenated
         // events, the left side's key, event time redefined per §4.2.2.
         Tuple joined;
-        Timestamp tsb = scratch_[0].ts;
-        Timestamp tse = scratch_[0].ts;
-        for (const SimpleEvent& e : scratch_) {
-          joined.AppendEvent(e);
-          tsb = std::min(tsb, e.ts);
-          tse = std::max(tse, e.ts);
-        }
+        Timestamp tsb = lrow[0].ts;
+        Timestamp tse = lrow[0].ts;
+        auto append = [&](const SimpleEvent* row, size_t n) {
+          for (size_t s = 0; s < n; ++s) {
+            joined.AppendEvent(row[s]);
+            tsb = std::min(tsb, row[s].ts);
+            tse = std::max(tse, row[s].ts);
+          }
+        };
+        append(lrow, ln);
+        append(rrow, rn);
         joined.set_key(entry.key);
         joined.set_event_time(ts_mode_ == TimestampMode::kMax ? tse : tsb);
         out->Emit(std::move(joined));
@@ -195,10 +194,10 @@ void SlidingWindowJoinOperator::EvictBefore(Timestamp min_keep_ts) {
   for (auto it = keys_.begin(); it != keys_.end();) {
     KeyState& key_state = it->state;
     const Timestamp key_min =
-        std::min(key_state.sides[0].min_ts, key_state.sides[1].min_ts);
+        std::min(key_state.sides[0].min_ts(), key_state.sides[1].min_ts());
     if (key_min >= min_keep_ts) {
-      // Nothing evictable under this key (side minima are exact even while
-      // a side is unsorted): skip the sort + erase entirely. A key can
+      // Nothing evictable under this key: skip the search and erase
+      // entirely. A key can
       // only become all-empty through eviction, and that path erases it
       // below, so skipped keys always still hold tuples.
       global_min = std::min(global_min, key_min);
@@ -207,24 +206,14 @@ void SlidingWindowJoinOperator::EvictBefore(Timestamp min_keep_ts) {
     }
     bool all_empty = true;
     for (SideBuffer& side : key_state.sides) {
-      SortIfNeeded(&side);
-      const Timestamp* ts = side.rows.event_times();
       const size_t keep_from =
-          LowerBoundTs(ts, side.head, side.rows.rows(), min_keep_ts);
-      state_bytes_ -=
-          (keep_from - side.head) * RowBytes(side.rows.num_slots());
+          LowerBoundTs(side.ts.data(), side.head, side.rows(), min_keep_ts);
+      state_bytes_ -= (keep_from - side.head) * RowBytes(side.arity);
       side.head = keep_from;
       // Reclaim the dead prefix only once it outweighs the live suffix;
       // each survivor is then moved at most once per doubling of evicted
       // rows, keeping eviction amortized O(1) per row.
-      const size_t live = side.rows.rows() - side.head;
-      if (side.head >= live) {
-        side.rows.ErasePrefix(side.head);
-        side.head = 0;
-      }
-      // Sides are sorted here, so the surviving front is the new minimum.
-      side.min_ts =
-          side.empty() ? kMaxTimestamp : side.rows.event_time(side.head);
+      if (side.head >= side.rows() - side.head) side.ErasePrefix();
       if (!side.empty()) all_empty = false;
     }
     if (all_empty) {
@@ -232,7 +221,7 @@ void SlidingWindowJoinOperator::EvictBefore(Timestamp min_keep_ts) {
     } else {
       global_min = std::min(
           global_min,
-          std::min(key_state.sides[0].min_ts, key_state.sides[1].min_ts));
+          std::min(key_state.sides[0].min_ts(), key_state.sides[1].min_ts()));
       ++it;
     }
   }

@@ -9,7 +9,6 @@
 
 #include "asp/window.h"
 #include "event/predicate.h"
-#include "runtime/columnar_batch.h"
 #include "runtime/operator.h"
 
 namespace cep2asp {
@@ -96,15 +95,17 @@ class SlidingWindowJoinOperator : public Operator {
   int64_t pairs_evaluated() const { return pairs_evaluated_; }
 
  private:
-  /// Per-(key, side) window store, struct-of-arrays: rows live in a
-  /// ColumnarBatch (one contiguous column per event attribute plus exact
-  /// key/event-time columns), shaped to the side's tuple arity on first
-  /// append. The probe walks the contiguous event-time column for its
-  /// range binary searches and gathers events only for pairs that reach
-  /// condition evaluation — instead of lower_bound over ~280-byte-strided
-  /// row-major Tuples.
+  /// Per-(key, side) window store, row-major and always sorted by event
+  /// time: row i is `events[i * arity, (i + 1) * arity)` with event time
+  /// `ts[i]`. A row lands where a stable sort of the arrival sequence by
+  /// event time would put it (ties stay in arrival order), so the probe
+  /// binary-searches `ts` for its ranges and hands the condition two row
+  /// pointers without sorting or copying. No key column: FireWindow takes
+  /// the key from KeyEntry.
   struct SideBuffer {
-    ColumnarBatch rows;
+    std::vector<SimpleEvent> events;
+    std::vector<Timestamp> ts;
+    size_t arity = 0;  // events per row, fixed by the first append
     // Index of the first live row: [head, rows) are buffered, [0, head)
     // are evicted-but-not-yet-reclaimed. Eviction advances `head` and
     // compacts (ErasePrefix) only once the dead prefix reaches the live
@@ -113,13 +114,19 @@ class SlidingWindowJoinOperator : public Operator {
     // evict, a cost that balloons when batched execution lets the buffers
     // run deep ahead of the watermark.
     size_t head = 0;
-    bool sorted = true;
-    // Smallest buffered event time, maintained incrementally on append
-    // and re-derived from the sorted front on eviction, so the watermark
-    // path (MinBufferedTs) is O(keys) instead of rescanning every row.
-    Timestamp min_ts = kMaxTimestamp;
 
-    bool empty() const { return head >= rows.rows(); }
+    size_t rows() const { return ts.size(); }
+    bool empty() const { return head >= ts.size(); }
+    const SimpleEvent* row(size_t i) const { return events.data() + i * arity; }
+    /// Smallest buffered event time (the sorted front), so the watermark
+    /// path (MinBufferedTs) stays O(keys) instead of rescanning rows.
+    Timestamp min_ts() const { return empty() ? kMaxTimestamp : ts[head]; }
+
+    /// Inserts `tuple` at the upper bound of its event time; in-order rows
+    /// (the common case) append.
+    void Insert(const Tuple& tuple);
+    /// Drops the dead prefix [0, head).
+    void ErasePrefix();
   };
 
   struct KeyState {
@@ -138,10 +145,9 @@ class SlidingWindowJoinOperator : public Operator {
   };
 
   KeyState& StateForKey(int64_t key);
-  static void SortIfNeeded(SideBuffer* side);
 
-  /// Per-row state accounting, matching the row-major Tuple footprint so
-  /// figure-5 style byte timelines stay comparable across layouts.
+  /// Per-row state accounting, matching the Tuple footprint so figure-5
+  /// style byte timelines stay comparable with the other operators.
   static size_t RowBytes(size_t arity) {
     return sizeof(Tuple) + (arity > 4 ? arity * sizeof(SimpleEvent) : 0);
   }
@@ -172,14 +178,6 @@ class SlidingWindowJoinOperator : public Operator {
   bool have_window_cursor_ = false;
   size_t state_bytes_ = 0;
   int64_t pairs_evaluated_ = 0;
-
-  /// Probe scratch, reused across windows: `scratch_` holds the events of
-  /// the current (left, right) pair for positional condition evaluation
-  /// without materializing a Tuple; `right_scratch_` pre-gathers the right
-  /// range once per (key, window) so every pair reuses it via one
-  /// contiguous copy.
-  std::vector<SimpleEvent> scratch_;
-  std::vector<SimpleEvent> right_scratch_;
 };
 
 }  // namespace cep2asp

@@ -107,6 +107,12 @@ struct Comparison {
   /// allocation, just two attribute loads and a compare.
   bool EvalOnEvents(const SimpleEvent* events, size_t count) const;
 
+  /// Evaluates against the concatenation of two event rows without
+  /// building it: variable i is left[i] for i < left_count, else
+  /// right[i - left_count].
+  bool EvalOnPair(const SimpleEvent* left, size_t left_count,
+                  const SimpleEvent* right) const;
+
   /// Evaluates with every variable reference bound to `event` (broadcast;
   /// caller guarantees the term is single-variable).
   bool EvalOnEvent(const SimpleEvent& event) const;
@@ -134,6 +140,11 @@ class Predicate {
   /// Evaluates against events stored positionally (variable i = events[i]).
   bool EvalOnEvents(const SimpleEvent* events, size_t count) const;
 
+  /// Evaluates against the concatenation of two event rows (a join's left
+  /// and right row) without copying them into one array.
+  bool EvalOnPair(const SimpleEvent* left, size_t left_count,
+                  const SimpleEvent* right) const;
+
   /// Evaluates against a composed tuple whose event positions correspond to
   /// variable indices.
   bool EvalOnTuple(const Tuple& tuple) const;
@@ -149,6 +160,29 @@ class Predicate {
  private:
   std::vector<Comparison> terms_;
 };
+
+// Inline: the sliding-window join calls these once per probed pair.
+inline bool Comparison::EvalOnPair(const SimpleEvent* left, size_t left_count,
+                                   const SimpleEvent* right) const {
+  auto at = [&](int var) -> const SimpleEvent& {
+    CEP2ASP_DCHECK(var >= 0);
+    const size_t v = static_cast<size_t>(var);
+    return v < left_count ? left[v] : right[v - left_count];
+  };
+  const double lhs_value = GetAttribute(at(lhs.var), lhs.attr);
+  const double rhs_value =
+      rhs_is_attr ? GetAttribute(at(rhs_attr.var), rhs_attr.attr) + rhs_offset
+                  : rhs_const;
+  return EvalCmp(lhs_value, op, rhs_value);
+}
+
+inline bool Predicate::EvalOnPair(const SimpleEvent* left, size_t left_count,
+                                  const SimpleEvent* right) const {
+  for (const Comparison& c : terms_) {
+    if (!c.EvalOnPair(left, left_count, right)) return false;
+  }
+  return true;
+}
 
 }  // namespace cep2asp
 

@@ -1,8 +1,5 @@
 #include "runtime/columnar_batch.h"
 
-#include <algorithm>
-#include <numeric>
-
 #include "common/logging.h"
 
 namespace cep2asp {
@@ -60,80 +57,6 @@ Tuple ColumnarBatch::RowTuple(size_t i) const {
   out.set_event_time(event_times_[i]);
   out.set_key(keys_[i]);
   return out;
-}
-
-SimpleEvent ColumnarBatch::RowEvent(size_t slot, size_t i) const {
-  CEP2ASP_DCHECK(slot < num_slots_ && i < rows_);
-  const std::vector<double>* cols = &attr_cols_[slot * kNumEventAttrs];
-  SimpleEvent e;
-  e.value = cols[0][i];
-  e.lat = cols[1][i];
-  e.lon = cols[2][i];
-  e.ts = static_cast<Timestamp>(cols[3][i]);
-  e.id = static_cast<int64_t>(cols[4][i]);
-  e.aux_ts = static_cast<Timestamp>(cols[5][i]);
-  e.type = type_cols_[slot][i];
-  e.create_ts = create_ts_cols_[slot][i];
-  return e;
-}
-
-void ColumnarBatch::ErasePrefix(size_t n) {
-  if (n == 0) return;
-  CEP2ASP_DCHECK(n <= rows_);
-  const ptrdiff_t d = static_cast<ptrdiff_t>(n);
-  for (std::vector<double>& col : attr_cols_) {
-    col.erase(col.begin(), col.begin() + d);
-  }
-  for (std::vector<EventTypeId>& col : type_cols_) {
-    col.erase(col.begin(), col.begin() + d);
-  }
-  for (std::vector<Timestamp>& col : create_ts_cols_) {
-    col.erase(col.begin(), col.begin() + d);
-  }
-  keys_.erase(keys_.begin(), keys_.begin() + d);
-  event_times_.erase(event_times_.begin(), event_times_.begin() + d);
-  rows_ -= n;
-}
-
-namespace {
-
-template <typename T>
-void ApplyPermutation(std::vector<T>* col, size_t from,
-                      const std::vector<uint32_t>& perm) {
-  std::vector<T> tmp(perm.size());
-  for (size_t i = 0; i < perm.size(); ++i) {
-    tmp[i] = (*col)[from + perm[i]];
-  }
-  std::copy(tmp.begin(), tmp.end(), col->begin() + static_cast<ptrdiff_t>(from));
-}
-
-}  // namespace
-
-void ColumnarBatch::StableSortByEventTime(size_t from) {
-  if (from >= rows_) return;
-  const size_t n = rows_ - from;
-  std::vector<uint32_t> perm(n);
-  std::iota(perm.begin(), perm.end(), 0u);
-  const Timestamp* ts = event_times_.data() + from;
-  std::stable_sort(perm.begin(), perm.end(),
-                   [ts](uint32_t a, uint32_t b) { return ts[a] < ts[b]; });
-  bool identity = true;
-  for (size_t i = 0; i < n; ++i) {
-    if (perm[i] != i) {
-      identity = false;
-      break;
-    }
-  }
-  if (identity) return;
-  for (std::vector<double>& col : attr_cols_) ApplyPermutation(&col, from, perm);
-  for (std::vector<EventTypeId>& col : type_cols_) {
-    ApplyPermutation(&col, from, perm);
-  }
-  for (std::vector<Timestamp>& col : create_ts_cols_) {
-    ApplyPermutation(&col, from, perm);
-  }
-  ApplyPermutation(&keys_, from, perm);
-  ApplyPermutation(&event_times_, from, perm);
 }
 
 }  // namespace cep2asp

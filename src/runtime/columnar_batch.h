@@ -9,11 +9,16 @@
 
 namespace cep2asp {
 
-/// \brief Columnar (struct-of-arrays) row store: the window buffer of
-/// SlidingWindowJoinOperator.
+/// \brief Columnar (struct-of-arrays) row block.
+///
+/// Nothing in the runtime builds these any more: tuples cross every edge
+/// row-major and the sliding-window join keeps its own row-major store.
+/// The type survives only as the argument of the row-scatter defaults of
+/// `Operator::ProcessColumnar` and `Collector::EmitColumnar`, which the
+/// end-to-end benchmark's tracing wrappers forward.
 ///
 /// A row is one Tuple of `num_slots` events. Per (event slot, attribute)
-/// the store keeps one contiguous double column; the event fields that the
+/// the block keeps one contiguous double column; the event fields that the
 /// six double attributes cannot carry (the EventTypeId and the wall-clock
 /// create_ts) ride in per-slot sidecar columns, and tuple-level identity
 /// (partition key, event time) in exact int64 columns, so an append ->
@@ -21,8 +26,6 @@ namespace cep2asp {
 /// travel as doubles under the documented GetAttribute contract
 /// (timestamps are exact in double for the ranges this library produces);
 /// partition keys stay exact int64 because key pools may exceed 2^53.
-/// The contiguous event-time column is what the join's range binary
-/// searches walk.
 class ColumnarBatch {
  public:
   ColumnarBatch() { Reset(1); }
@@ -44,22 +47,6 @@ class ColumnarBatch {
 
   /// Scatters row `i` back into a row-major Tuple.
   Tuple RowTuple(size_t i) const;
-
-  /// Scatters the event at (slot, row) without building a Tuple — the
-  /// cheap gather the join probe uses to fill its scratch pair.
-  SimpleEvent RowEvent(size_t slot, size_t i) const;
-
-  /// Drops the first `n` rows from every column (dead-prefix reclaim of
-  /// SoA window buffers).
-  void ErasePrefix(size_t n);
-
-  /// Stable-sorts rows [from, rows) by event time, applying one
-  /// permutation across all columns. Used by window stores when parallel
-  /// producers interleaved their (per-producer ordered) streams.
-  void StableSortByEventTime(size_t from);
-
-  const Timestamp* event_times() const { return event_times_.data(); }
-  Timestamp event_time(size_t i) const { return event_times_[i]; }
 
  private:
   size_t num_slots_ = 1;

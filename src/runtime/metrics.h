@@ -19,7 +19,7 @@ struct LatencyStats {
   double p99_ms = 0;
   double max_ms = 0;
 
-  /// Computes stats from raw samples (copies + sorts internally).
+  /// Computes stats from raw samples (copies, then selects the ranks).
   static LatencyStats FromSamples(std::vector<int64_t> samples);
 
   std::string ToString() const;

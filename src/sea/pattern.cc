@@ -108,9 +108,14 @@ std::string NodeToString(const PatternNode& node) {
     case PatternOp::kAtom:
       return registry->Name(node.atom.type) + " " + node.atom.variable;
     case PatternOp::kIter: {
-      std::string out = "ITER" + std::to_string(node.iter_count);
+      std::string out = "ITER";
+      out += std::to_string(node.iter_count);
       if (node.iter_unbounded) out += "+";
-      out += "(" + registry->Name(node.atom.type) + " " + node.atom.variable + ")";
+      out += "(";
+      out += registry->Name(node.atom.type);
+      out += " ";
+      out += node.atom.variable;
+      out += ")";
       return out;
     }
     case PatternOp::kNseq: {

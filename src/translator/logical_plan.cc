@@ -35,39 +35,47 @@ const char* LogicalOpKindToString(LogicalOpKind kind) {
 std::string LogicalOp::ToString(int indent) const {
   std::string pad(static_cast<size_t>(indent) * 2, ' ');
   std::string out = pad + LogicalOpKindToString(kind);
+  // Appends only: GCC 12 flags `"literal" + std::string&&` with -Wrestrict
+  // false positives, which -Werror builds turn into errors.
+  auto wrap = [&out](const char* open, const std::string& body,
+                     const char* close) {
+    out += open;
+    out += body;
+    out += close;
+  };
   switch (kind) {
     case LogicalOpKind::kScan:
-      out += "(" + EventTypeRegistry::Global()->Name(scan_type) + ")";
+      wrap("(", EventTypeRegistry::Global()->Name(scan_type), ")");
       break;
     case LogicalOpKind::kFilter:
-      out += "(" + predicate.ToString() + ")";
+      wrap("(", predicate.ToString(), ")");
       break;
     case LogicalOpKind::kKeyByAttr:
-      out += "(" + std::string(AttributeName(key_attr)) + ")";
+      wrap("(", AttributeName(key_attr), ")");
       break;
     case LogicalOpKind::kKeyByConst:
-      out += "(" + std::to_string(const_key) + ")";
+      wrap("(", std::to_string(const_key), ")");
       break;
     case LogicalOpKind::kWindowJoin:
-      out += "[W=" + std::to_string(window.size) +
-             ",s=" + std::to_string(window.slide) + "]";
-      if (!predicate.IsTrue()) out += "(" + predicate.ToString() + ")";
+      wrap("[W=", std::to_string(window.size), ",s=");
+      wrap("", std::to_string(window.slide), "]");
+      if (!predicate.IsTrue()) wrap("(", predicate.ToString(), ")");
       break;
     case LogicalOpKind::kIntervalJoin:
-      out += "[" + std::to_string(interval.lower) + "," +
-             std::to_string(interval.upper) + "]";
-      if (!predicate.IsTrue()) out += "(" + predicate.ToString() + ")";
+      wrap("[", std::to_string(interval.lower), ",");
+      wrap("", std::to_string(interval.upper), "]");
+      if (!predicate.IsTrue()) wrap("(", predicate.ToString(), ")");
       break;
     case LogicalOpKind::kAggregate:
-      out += "(" + std::string(AggregateFnToString(aggregate_fn)) +
-             ", n>=" + std::to_string(min_count) + ")";
+      wrap("(", AggregateFnToString(aggregate_fn), ", n>=");
+      wrap("", std::to_string(min_count), ")");
       break;
     case LogicalOpKind::kIterChainApply:
-      out += "(chain>=" + std::to_string(min_count) + ")";
+      wrap("(chain>=", std::to_string(min_count), ")");
       break;
     case LogicalOpKind::kNseqMark:
-      out += "(" + EventTypeRegistry::Global()->Name(nseq_positive) + " vs !" +
-             EventTypeRegistry::Global()->Name(nseq_negated) + ")";
+      wrap("(", EventTypeRegistry::Global()->Name(nseq_positive), " vs !");
+      wrap("", EventTypeRegistry::Global()->Name(nseq_negated), ")");
       break;
     default:
       break;

@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <map>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "asp/dedup.h"
 #include "asp/interval_join.h"
 #include "asp/nseq_mark.h"
@@ -209,6 +216,233 @@ TEST(SlidingJoinTest, CrossJoinWithoutCondition) {
                        {Ev(1, 1, 1 * kMinute, 2)});
   // Order does not matter for the conjunction.
   EXPECT_EQ(test::MatchSet(out).size(), 1u);
+}
+
+// --- Sliding window join: differential test against a brute-force model ----
+
+/// One input row of the differential test: the side it enters on and the
+/// tuple (events, key, event time).
+struct JoinInput {
+  int side = 0;
+  Tuple tuple;
+};
+
+/// Step of the differential test's input script: a row, or a watermark.
+struct JoinStep {
+  bool is_watermark = false;
+  Timestamp watermark = 0;
+  JoinInput row;
+};
+
+class RecordingCollector : public Collector {
+ public:
+  void Emit(Tuple tuple) override { tuples.push_back(std::move(tuple)); }
+  std::vector<Tuple> tuples;
+};
+
+/// Random keyed two-sided input with real disorder and no late rows. Rows
+/// arrive at non-decreasing arrival times `a`; a row's event time lies in
+/// [a - disorder, a], and watermarks read `a - disorder`, so no row ever
+/// reaches a window that already fired. Arity-1 rows come from two
+/// interleaved producers, each in order but one lagging; arity-2
+/// rows are partial matches whose two events span up to the window size
+/// and whose event time is the earlier one, so they trail the stream the
+/// way a nested join's output does. Event ids number the rows, so any
+/// change of emission order shows.
+std::vector<JoinStep> DisorderedJoinInput(std::mt19937_64& rng, size_t arity[2],
+                                          Timestamp window_size,
+                                          Timestamp start) {
+  const Timestamp disorder = window_size + 2;
+  std::vector<JoinStep> steps;
+  Timestamp arrival = start;
+  for (int i = 0; i < 240; ++i) {
+    arrival += static_cast<Timestamp>(rng() % 3);  // many equal times
+    JoinStep step;
+    step.row.side = static_cast<int>(rng() % 2);
+    const size_t n = arity[step.row.side];
+    Tuple& t = step.row.tuple;
+    // Arity 1: one of two in-order producers, the second 3 behind.
+    // Arity 2: events at first_ts and at the arrival time.
+    const Timestamp first_ts =
+        arrival - (n == 1 ? static_cast<Timestamp>(rng() % 2) * 3
+                          : static_cast<Timestamp>(rng() % window_size));
+    for (size_t e = 0; e < n; ++e) {
+      const Timestamp ts = e == 0 ? first_ts : arrival;
+      t.AppendEvent(test::Ev(static_cast<EventTypeId>(2 * step.row.side + e),
+                             i, ts, static_cast<double>(rng() % 10)));
+    }
+    t.set_event_time(first_ts);
+    t.set_key(static_cast<int64_t>(rng() % 3));
+    steps.push_back(step);
+    if (rng() % 6 == 0) {
+      JoinStep wm;
+      wm.is_watermark = true;
+      wm.watermark = arrival - disorder;
+      steps.push_back(wm);
+    }
+  }
+  JoinStep last;
+  last.is_watermark = true;
+  last.watermark = kMaxTimestamp;
+  steps.push_back(last);
+  return steps;
+}
+
+struct ModelEmission {
+  int64_t window = 0;
+  Tuple tuple;
+};
+
+/// Brute-force reference for SlidingWindowJoinOperator on input without
+/// late rows: every window k fires once, in ascending order; within it keys
+/// go in ascending order, and each side's rows of the window in a stable
+/// sort of their arrival order by event time. Every (l, r) pair of the two
+/// ranges counts as evaluated; under dedup a pair is emitted only in its
+/// first common window, computed by division here.
+std::vector<ModelEmission> ModelSlidingJoin(const std::vector<JoinStep>& steps,
+                                            SlidingWindowSpec spec,
+                                            const Predicate& condition,
+                                            TimestampMode ts_mode, bool dedup,
+                                            int64_t* pairs) {
+  std::map<int64_t, std::vector<Tuple>> by_key[2];
+  int64_t k_min = std::numeric_limits<int64_t>::max();
+  int64_t k_max = std::numeric_limits<int64_t>::min();
+  for (const JoinStep& step : steps) {
+    if (step.is_watermark) continue;
+    const Tuple& t = step.row.tuple;
+    by_key[step.row.side][t.key()].push_back(t);
+    k_min = std::min(k_min, spec.FirstWindow(t.event_time()));
+    k_max = std::max(k_max, spec.LastWindow(t.event_time()));
+  }
+  for (auto& side : by_key) {
+    for (auto& [key, rows] : side) {
+      std::stable_sort(rows.begin(), rows.end(),
+                       [](const Tuple& a, const Tuple& b) {
+                         return a.event_time() < b.event_time();
+                       });
+    }
+  }
+  auto in_window = [&spec](const Tuple& t, int64_t k) {
+    return t.event_time() >= spec.WindowStart(k) &&
+           t.event_time() < spec.WindowEnd(k);
+  };
+  std::vector<ModelEmission> out;
+  *pairs = 0;
+  for (int64_t k = k_min; k <= k_max; ++k) {
+    for (const auto& [key, left_rows] : by_key[0]) {
+      auto right_it = by_key[1].find(key);
+      if (right_it == by_key[1].end()) continue;
+      for (const Tuple& l : left_rows) {
+        if (!in_window(l, k)) continue;
+        for (const Tuple& r : right_it->second) {
+          if (!in_window(r, k)) continue;
+          ++*pairs;
+          if (dedup && std::max(spec.FirstWindow(l.event_time()),
+                                spec.FirstWindow(r.event_time())) != k) {
+            continue;
+          }
+          std::vector<SimpleEvent> events(l.begin(), l.end());
+          events.insert(events.end(), r.begin(), r.end());
+          if (!condition.EvalOnEvents(events.data(), events.size())) continue;
+          ModelEmission m;
+          m.window = k;
+          for (const SimpleEvent& e : events) m.tuple.AppendEvent(e);
+          m.tuple.set_key(key);
+          m.tuple.set_event_time(ts_mode == TimestampMode::kMax
+                                     ? m.tuple.tse()
+                                     : m.tuple.tsb());
+          out.push_back(std::move(m));
+        }
+      }
+    }
+  }
+  return out;
+}
+
+void ExpectSameJoinOutput(const Tuple& got, const Tuple& want) {
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(got.key(), want.key());
+  EXPECT_EQ(got.event_time(), want.event_time());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got.event(i).type, want.event(i).type);
+    EXPECT_EQ(got.event(i).id, want.event(i).id);
+    EXPECT_EQ(got.event(i).ts, want.event(i).ts);
+    EXPECT_EQ(got.event(i).value, want.event(i).value);
+  }
+}
+
+// The operator's exact emission sequence (order included), the windows
+// each watermark releases, pairs_evaluated() and the drained state must
+// match the brute-force model across dedup on/off, both timestamp modes,
+// side arities, conditions addressing both sides, and window shapes that
+// include a size that is not a multiple of the slide and tumbling windows.
+TEST(SlidingJoinTest, MatchesBruteForceModelUnderDisorder) {
+  const SlidingWindowSpec specs[] = {{10, 1}, {10, 3}, {12, 4}, {9, 2}, {8, 8}};
+  std::mt19937_64 rng(0x5a1d1e);
+  int config = 0;
+  for (const SlidingWindowSpec& spec : specs) {
+    for (bool dedup : {false, true}) {
+      for (TimestampMode mode : {TimestampMode::kMin, TimestampMode::kMax}) {
+        for (bool with_condition : {false, true}) {
+          ++config;
+          size_t arity[2] = {1 + static_cast<size_t>(config % 2),
+                             1 + static_cast<size_t>((config / 2) % 2)};
+          const int last = static_cast<int>(arity[0] + arity[1]) - 1;
+          Predicate condition;
+          if (with_condition) {
+            // Left's last event before right's first, and a value bound
+            // between the outermost events.
+            const int l_last = static_cast<int>(arity[0]) - 1;
+            condition.Add(Comparison::AttrAttr({l_last, Attribute::kTs},
+                                               CmpOp::kLt,
+                                               {l_last + 1, Attribute::kTs}));
+            condition.Add(Comparison::AttrAttr({0, Attribute::kValue},
+                                               CmpOp::kLe,
+                                               {last, Attribute::kValue}, 3.0));
+          }
+          const Timestamp start = config % 3 == 0 ? -25 : 100;
+          const std::vector<JoinStep> steps =
+              DisorderedJoinInput(rng, arity, spec.size, start);
+          SCOPED_TRACE("size=" + std::to_string(spec.size) +
+                       " slide=" + std::to_string(spec.slide) +
+                       " dedup=" + std::to_string(dedup) +
+                       " kMax=" + std::to_string(mode == TimestampMode::kMax) +
+                       " condition=" + std::to_string(with_condition));
+
+          int64_t want_pairs = 0;
+          const std::vector<ModelEmission> want = ModelSlidingJoin(
+              steps, spec, condition, mode, dedup, &want_pairs);
+
+          SlidingWindowJoinOperator op(spec, condition, mode, "join", dedup);
+          ASSERT_TRUE(op.Open().ok());
+          RecordingCollector out;
+          size_t released = 0;
+          for (const JoinStep& step : steps) {
+            if (!step.is_watermark) {
+              ASSERT_TRUE(
+                  op.Process(step.row.side, step.row.tuple, &out).ok());
+              continue;
+            }
+            ASSERT_TRUE(op.OnWatermark(step.watermark, &out).ok());
+            // A watermark releases exactly the windows it closes.
+            while (released < want.size() &&
+                   spec.CanFire(want[released].window, step.watermark)) {
+              ++released;
+            }
+            ASSERT_EQ(out.tuples.size(), released)
+                << "after watermark " << step.watermark;
+          }
+          ASSERT_EQ(out.tuples.size(), want.size());
+          for (size_t i = 0; i < want.size(); ++i) {
+            SCOPED_TRACE("emission " + std::to_string(i));
+            ExpectSameJoinOutput(out.tuples[i], want[i].tuple);
+          }
+          EXPECT_EQ(op.pairs_evaluated(), want_pairs);
+          EXPECT_EQ(op.StateBytes(), 0u);
+        }
+      }
+    }
+  }
 }
 
 // --- Interval join ----------------------------------------------------------------

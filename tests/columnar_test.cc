@@ -1,10 +1,9 @@
-// Tests of ColumnarBatch as the sliding-window join's struct-of-arrays
-// window store: appending rows and scattering them back must reproduce
-// every row bit-for-bit, and the store operations the join runs (stable
-// event-time sort, dead-prefix reclaim, per-event gather, reshape) must
-// keep rows intact and in order.
+// Tests of ColumnarBatch, the struct-of-arrays block behind the
+// row-scatter defaults of Operator::ProcessColumnar and
+// Collector::EmitColumnar: appending rows and scattering them back must
+// reproduce every row bit-for-bit, and Reset must reshape and empty a
+// block so it can be recycled.
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -95,50 +94,27 @@ TEST(ColumnarTest, GatherScatterRoundTripIsExact) {
   }
 }
 
-// The join's store operations: StableSortByEventTime orders rows [from,
-// rows) by event time, keeping equal times in append order and rows before
-// `from` untouched; RowEvent gathers the same events RowTuple does;
-// ErasePrefix drops the front rows; Reset reshapes and empties the store.
-TEST(ColumnarTest, WindowStoreSortEraseAndReset) {
+// Reset reshapes and empties a block; a recycled block then round-trips
+// rows of the new arity exactly, with nothing left over from before.
+TEST(ColumnarTest, ResetReshapesAndRecycles) {
   std::mt19937_64 rng(0xc01c0004);
-  for (int arity = 1; arity <= 2; ++arity) {
-    ColumnarBatch store(static_cast<size_t>(arity));
-    std::vector<Tuple> tuples;
-    for (int i = 0; i < 64; ++i) {
-      tuples.push_back(RandomTuple(rng, arity, /*non_finite=*/true));
-      // Few distinct times, so the sort's stability is exercised.
-      tuples.back().set_event_time(static_cast<Timestamp>(rng() % 8));
-      store.AppendTuple(tuples.back());
-    }
-    constexpr size_t kFrom = 10;
-    store.StableSortByEventTime(kFrom);
-    std::vector<Tuple> want = tuples;
-    std::stable_sort(want.begin() + kFrom, want.end(),
-                     [](const Tuple& a, const Tuple& b) {
-                       return a.event_time() < b.event_time();
-                     });
-    ASSERT_EQ(store.rows(), want.size());
-    for (size_t i = 0; i < want.size(); ++i) {
-      ExpectSameTuple(store.RowTuple(i), want[i]);
-      EXPECT_EQ(store.event_time(i), want[i].event_time());
-      for (size_t s = 0; s < static_cast<size_t>(arity); ++s) {
-        const SimpleEvent e = store.RowEvent(s, i);
-        EXPECT_EQ(e.id, want[i].event(s).id);
-        EXPECT_EQ(e.ts, want[i].event(s).ts);
-        EXPECT_TRUE(SameDouble(e.value, want[i].event(s).value));
-      }
-    }
+  ColumnarBatch batch(2);
+  for (int i = 0; i < 16; ++i) batch.AppendTuple(RandomTuple(rng, 2, true));
+  ASSERT_EQ(batch.rows(), 16u);
 
-    store.ErasePrefix(kFrom + 3);
-    ASSERT_EQ(store.rows(), want.size() - kFrom - 3);
-    for (size_t i = 0; i < store.rows(); ++i) {
-      ExpectSameTuple(store.RowTuple(i), want[kFrom + 3 + i]);
-    }
+  batch.Reset(3);
+  EXPECT_EQ(batch.rows(), 0u);
+  EXPECT_TRUE(batch.empty());
+  EXPECT_EQ(batch.num_slots(), 3u);
 
-    store.Reset(3);
-    EXPECT_EQ(store.rows(), 0u);
-    EXPECT_TRUE(store.empty());
-    EXPECT_EQ(store.num_slots(), 3u);
+  std::vector<Tuple> tuples;
+  for (int i = 0; i < 5; ++i) {
+    tuples.push_back(RandomTuple(rng, 3, /*non_finite=*/true));
+    batch.AppendTuple(tuples.back());
+  }
+  ASSERT_EQ(batch.rows(), tuples.size());
+  for (size_t i = 0; i < tuples.size(); ++i) {
+    ExpectSameTuple(batch.RowTuple(i), tuples[i]);
   }
 }
 

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -998,6 +1000,52 @@ TEST(MetricsTest, EmptySamples) {
   LatencyStats stats = LatencyStats::FromSamples({});
   EXPECT_EQ(stats.count, 0);
   EXPECT_DOUBLE_EQ(stats.mean_ms, 0.0);
+}
+
+// Selection must give exactly what indexing a fully sorted copy gives, on
+// unsorted input with many duplicates, one sample, and no samples.
+TEST(MetricsTest, LatencyStatsMatchSortedReference) {
+  auto reference = [](std::vector<int64_t> samples) {
+    LatencyStats stats;
+    stats.count = static_cast<int64_t>(samples.size());
+    if (samples.empty()) return stats;
+    std::sort(samples.begin(), samples.end());
+    double sum = 0;
+    for (int64_t s : samples) sum += static_cast<double>(s);
+    stats.mean_ms = sum / static_cast<double>(samples.size());
+    auto at = [&samples](double p) {
+      return static_cast<double>(samples[static_cast<size_t>(
+          p * static_cast<double>(samples.size() - 1))]);
+    };
+    stats.p50_ms = at(0.50);
+    stats.p95_ms = at(0.95);
+    stats.p99_ms = at(0.99);
+    stats.max_ms = static_cast<double>(samples.back());
+    return stats;
+  };
+  std::mt19937_64 rng(0x1a7e0c1);
+  std::vector<std::vector<int64_t>> cases = {{}, {7}, {3, 3}, {5, 1, 5, 1}};
+  for (size_t n : {2u, 3u, 17u, 100u, 101u, 1000u, 4099u}) {
+    for (int64_t distinct : {1, 4, 1000000}) {
+      std::vector<int64_t> samples(n);
+      for (int64_t& s : samples) {
+        s = static_cast<int64_t>(rng() % static_cast<uint64_t>(distinct));
+      }
+      cases.push_back(std::move(samples));
+    }
+  }
+  for (const std::vector<int64_t>& samples : cases) {
+    const LatencyStats want = reference(samples);
+    const LatencyStats got = LatencyStats::FromSamples(samples);
+    SCOPED_TRACE(samples.size());
+    EXPECT_EQ(got.count, want.count);
+    // Bit-identical, not merely close.
+    EXPECT_EQ(got.mean_ms, want.mean_ms);
+    EXPECT_EQ(got.p50_ms, want.p50_ms);
+    EXPECT_EQ(got.p95_ms, want.p95_ms);
+    EXPECT_EQ(got.p99_ms, want.p99_ms);
+    EXPECT_EQ(got.max_ms, want.max_ms);
+  }
 }
 
 TEST(MetricsTest, ThroughputFromResult) {
