@@ -7,15 +7,19 @@
 // factor (it starts memory/GC-bound) but never reaches the FASP variants,
 // which stay on average ~60% ahead (paper §5.2.5). The measured rows
 // cross-check the simulator's scaling curve: hash-partitioned subtasks on
-// the threaded executor, speedup relative to parallelism 1. Actual
-// speedup is bounded by the host's core count (reported below): on a
-// single-core container the measured column shows ~1x and only validates
-// result stability, not scale-out.
+// the threaded executor, speedup relative to parallelism 1. Each measured
+// row is the median of kMeasuredRuns runs, with the quartiles (p25-p75)
+// as its spread; the runs of all rows interleave, so host drift spreads
+// over every row alike. Actual speedup is bounded by the host's core
+// count (reported below): on a single-core container the measured column
+// shows ~1x and only validates result stability, not scale-out.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "cluster/calibration.h"
 #include "cluster/sim.h"
@@ -28,6 +32,21 @@ namespace cep2asp {
 namespace {
 
 constexpr Timestamp kMin = kMillisPerMinute;
+
+/// Runs behind every measured row.
+constexpr int kMeasuredRuns = 5;
+
+/// Quantile `q` in [0, 1] of `values`, interpolating linearly between the
+/// two nearest ranks.
+double Quantile(std::vector<double> values, double q) {
+  if (values.empty()) return 0;
+  std::sort(values.begin(), values.end());
+  const double rank = q * static_cast<double>(values.size() - 1);
+  const size_t lo = static_cast<size_t>(rank);
+  const size_t hi = std::min(lo + 1, values.size() - 1);
+  const double frac = rank - static_cast<double>(lo);
+  return values[lo] + frac * (values[hi] - values[lo]);
+}
 
 SimJobSpec MakeSpec(const std::string& pattern, SimApproach approach) {
   SimJobSpec spec;
@@ -101,7 +120,7 @@ int Main(int argc, char** argv) {
   ResultTable table(
       "Figure 6: scalability over workers (128 keys; simulated + measured)",
       {"pattern", "workers", "approach", "engine", "max sustainable",
-       "speedup vs 1", "skew", "status"});
+       "p25-p75", "speedup vs 1", "skew", "status"});
 
   for (const char* pattern_name : {"SEQ7", "ITER4"}) {
     const std::string pattern = pattern_name;
@@ -126,7 +145,7 @@ int Main(int argc, char** argv) {
                       base_tps > 0 ? tps / base_tps : 0.0);
         table.AddRow({pattern, std::to_string(workers),
                       SimApproachToString(approach), "simulated",
-                      FormatTps(tps), speedup, "-", "ok"});
+                      FormatTps(tps), "-", speedup, "-", "ok"});
       }
     }
   }
@@ -148,64 +167,85 @@ int Main(int argc, char** argv) {
       {"measured", true},
       {"measured-nochain", false},
   };
-  double measured_base[2] = {0, 0};  // indexed by variant
-  double measured_p4 = 0;
+  constexpr int kLevels[] = {1, 2, 4};
+  struct Cell {
+    std::vector<double> tps;
+    std::string error;
+    double imbalance = 0;
+    bool same_matches = true;
+  };
+  Cell cells[3][2];  // [parallelism level][variant]
   int64_t base_matches = -1;
-  for (int parallelism : {1, 2, 4}) {
-    for (size_t variant = 0; variant < 2; ++variant) {
-      const EngineVariant& v = kVariants[variant];
-      TranslatorOptions o3;
-      o3.use_equi_join_keys = true;
-      o3.parallelism = parallelism;
-      Workload workload = MakeKeyedWorkload(scale);
-      auto compiled = TranslatePattern(keyed, o3, workload.MakeSourceFactory(),
-                                       /*store_matches=*/false);
-      CEP2ASP_CHECK(compiled.ok()) << compiled.status();
-      const char* engine = v.name;
-      if (!v.chaining) UnchainAll(&compiled->graph);
-      ThreadedExecutor executor(&compiled->graph);
-      ExecutionResult result = executor.Run(compiled->sink);
-      char speedup[32], skew[32];
-      if (!result.ok) {
-        table.AddRow({"SEQ3eq", std::to_string(parallelism), "FASP-O3",
-                      engine, "-", "-", "-", result.error});
-        continue;
+  for (int run = 0; run < kMeasuredRuns; ++run) {
+    for (int level = 0; level < 3; ++level) {
+      for (size_t variant = 0; variant < 2; ++variant) {
+        Cell& cell = cells[level][variant];
+        if (!cell.error.empty()) continue;
+        TranslatorOptions o3;
+        o3.use_equi_join_keys = true;
+        o3.parallelism = kLevels[level];
+        Workload workload = MakeKeyedWorkload(scale);
+        auto compiled = TranslatePattern(keyed, o3,
+                                         workload.MakeSourceFactory(),
+                                         /*store_matches=*/false);
+        CEP2ASP_CHECK(compiled.ok()) << compiled.status();
+        if (!kVariants[variant].chaining) UnchainAll(&compiled->graph);
+        ThreadedExecutor executor(&compiled->graph);
+        ExecutionResult result = executor.Run(compiled->sink);
+        if (!result.ok) {
+          cell.error = result.error;
+          continue;
+        }
+        if (base_matches < 0) base_matches = result.matches_emitted;
+        cell.same_matches &= result.matches_emitted == base_matches;
+        cell.tps.push_back(result.throughput_tps());
+        for (const PartitionSkew& skew : result.partition_skew) {
+          cell.imbalance = std::max(cell.imbalance, skew.imbalance());
+        }
       }
-      double& base = measured_base[variant];
-      if (parallelism == 1) {
-        base = result.throughput_tps();
-        if (variant == 0) base_matches = result.matches_emitted;
-      }
-      if (parallelism == 4 && variant == 0) {
-        measured_p4 = result.throughput_tps();
-      }
-      std::snprintf(speedup, sizeof(speedup), "%.2fx",
-                    base > 0 ? result.throughput_tps() / base : 0.0);
-      double max_imbalance = 0;
-      for (const PartitionSkew& s : result.partition_skew) {
-        max_imbalance = std::max(max_imbalance, s.imbalance());
-      }
-      std::snprintf(skew, sizeof(skew), "%.2f", max_imbalance);
-      const bool same_matches =
-          base_matches < 0 || result.matches_emitted == base_matches;
-      table.AddRow({"SEQ3eq", std::to_string(parallelism), "FASP-O3", engine,
-                    FormatTps(result.throughput_tps()), speedup,
-                    parallelism > 1 ? skew : "-",
-                    same_matches ? "ok" : "MATCH COUNT DIVERGED"});
     }
   }
+  double median[3][2] = {};
+  for (int level = 0; level < 3; ++level) {
+    for (size_t variant = 0; variant < 2; ++variant) {
+      const Cell& cell = cells[level][variant];
+      const std::string workers = std::to_string(kLevels[level]);
+      const char* engine = kVariants[variant].name;
+      if (!cell.error.empty()) {
+        table.AddRow({"SEQ3eq", workers, "FASP-O3", engine, "-", "-", "-",
+                      "-", cell.error});
+        continue;
+      }
+      median[level][variant] = Quantile(cell.tps, 0.5);
+      const double base = median[0][variant];
+      char speedup[32], skew[32];
+      std::snprintf(speedup, sizeof(speedup), "%.2fx",
+                    base > 0 ? median[level][variant] / base : 0.0);
+      std::snprintf(skew, sizeof(skew), "%.2f", cell.imbalance);
+      table.AddRow({"SEQ3eq", workers, "FASP-O3", engine,
+                    FormatTps(median[level][variant]),
+                    FormatTps(Quantile(cell.tps, 0.25)) + " .. " +
+                        FormatTps(Quantile(cell.tps, 0.75)),
+                    speedup, kLevels[level] > 1 ? skew : "-",
+                    cell.same_matches ? "ok" : "MATCH COUNT DIVERGED"});
+    }
+  }
+  const double measured_p1 = median[0][0];
+  const double measured_p4 = median[2][0];
 
   table.Print();
-  if (measured_base[0] > 0 && measured_p4 > 0) {
+  if (measured_p1 > 0 && measured_p4 > 0) {
     std::printf(
-        "\nmeasured speedup P4/P1: %.2fx on %u host core%s (simulator models "
-        "4 workers x 16 slots; expect ~1x when cores <= 1)\n",
-        measured_p4 / measured_base[0], cores, cores == 1 ? "" : "s");
+        "\nmeasured speedup P4/P1 (medians of %d runs): %.2fx on %u host "
+        "core%s (simulator models 4 workers x 16 slots; expect ~1x when "
+        "cores <= 1)\n",
+        kMeasuredRuns, measured_p4 / measured_p1, cores,
+        cores == 1 ? "" : "s");
   }
-  if (measured_base[0] > 0 && measured_base[1] > 0) {
+  if (measured_p1 > 0 && median[0][1] > 0) {
     std::printf(
         "chaining delta at P1 (measured vs measured-nochain): %.2fx\n",
-        measured_base[0] / measured_base[1]);
+        measured_p1 / median[0][1]);
   }
   CEP2ASP_CHECK_OK(table.WriteCsv("fig6_scalability"));
   return 0;

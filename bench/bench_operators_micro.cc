@@ -328,105 +328,6 @@ void BM_ForwardChainPipeline(benchmark::State& state) {
 }
 BENCHMARK(BM_ForwardChainPipeline)->Arg(0)->Arg(1)->UseRealTime();
 
-// --- Chain A/B with machine-readable output ----------------------------------
-
-struct ChainAbSide {
-  double throughput_tps = 0;
-  int threads = 0;
-  int fused_edges = 0;
-  int channels = 0;
-};
-
-ChainAbSide RunChainSide(bool chained, int n, int repetitions) {
-  std::vector<SimpleEvent> events = MakeEvents(TypeA(), n, 10);
-  ChainAbSide side;
-  double best_seconds = 0;
-  for (int rep = 0; rep < repetitions; ++rep) {
-    ChainPipeline p = MakeForwardChainPipeline(events);
-    if (!chained) UnchainAll(&p.graph);
-    ThreadedExecutor executor(&p.graph);
-    const auto start = std::chrono::steady_clock::now();
-    ExecutionResult result = executor.Run(p.sink);
-    const std::chrono::duration<double> elapsed =
-        std::chrono::steady_clock::now() - start;
-    if (!result.ok) {
-      std::fprintf(stderr, "chain A/B run failed: %s\n", result.error.c_str());
-      std::exit(1);
-    }
-    if (rep == 0) {
-      for (const ChannelStats& stats : result.channel_stats) {
-        if (stats.fused) {
-          ++side.fused_edges;
-        } else {
-          ++side.channels;
-        }
-      }
-      const ChainLayout layout = ComputeChainLayout(p.graph);
-      side.threads = 0;
-      for (NodeId id = 0; id < p.graph.num_nodes(); ++id) {
-        if (p.graph.node(id).is_source()) ++side.threads;
-      }
-      for (const std::vector<NodeId>& chain : layout.chains) {
-        side.threads += p.graph.parallelism(chain.front());
-      }
-    }
-    if (best_seconds == 0 || elapsed.count() < best_seconds) {
-      best_seconds = elapsed.count();
-    }
-  }
-  side.throughput_tps = static_cast<double>(n) / best_seconds;
-  return side;
-}
-
-void AppendSideJson(std::string* out, const char* key, const ChainAbSide& s) {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "  \"%s\": {\"throughput_tps\": %.0f, \"threads\": %d, "
-                "\"fused_edges\": %d, \"channels\": %d}",
-                key, s.throughput_tps, s.threads, s.fused_edges, s.channels);
-  *out += buf;
-}
-
-/// Runs the forward-chain A/B and writes bench_results/BENCH_chain.json;
-/// `quick` shrinks the input and repetition count for CI smoke runs.
-int RunChainAb(bool quick) {
-  const int n = quick ? 200000 : 1000000;
-  const int repetitions = quick ? 3 : 5;
-  const ChainAbSide on = RunChainSide(/*chained=*/true, n, repetitions);
-  const ChainAbSide off = RunChainSide(/*chained=*/false, n, repetitions);
-  const double speedup = off.throughput_tps > 0
-                             ? on.throughput_tps / off.throughput_tps
-                             : 0;
-
-  std::string json = "{\n";
-  json += "  \"benchmark\": \"forward_chain_ab\",\n";
-  json += "  \"pipeline\": \"source -> filter -> map -> filter -> sink\",\n";
-  json += "  \"tuples_per_run\": " + std::to_string(n) + ",\n";
-  json += "  \"repetitions\": " + std::to_string(repetitions) + ",\n";
-  AppendSideJson(&json, "chain_on", on);
-  json += ",\n";
-  AppendSideJson(&json, "chain_off", off);
-  json += ",\n";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "  \"speedup\": %.2f\n", speedup);
-  json += buf;
-  json += "}\n";
-
-  std::error_code ec;
-  std::filesystem::create_directories("bench_results", ec);
-  const char* path = "bench_results/BENCH_chain.json";
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return 1;
-  }
-  std::fputs(json.c_str(), f);
-  std::fclose(f);
-  std::printf("%s", json.c_str());
-  std::printf("wrote %s\n", path);
-  return 0;
-}
-
 // --- Paired A/B helpers --------------------------------------------------------
 
 struct AbSide {
@@ -443,7 +344,7 @@ double Median(std::vector<double> v) {
 
 /// Speedup estimator for drifting hardware: each repetition runs both
 /// sides back to back, so the ratio of that pair compares two runs
-/// adjacent in time and the session-scale machine-speed drift divides
+/// adjacent in time and machine-speed drift over minutes divides
 /// out; the median then rejects occasional outlier repetitions. (A ratio
 /// of per-side maxima, by contrast, may compare runs minutes apart.)
 double MedianPairedRatio(const AbSide& a, const AbSide& b) {
@@ -453,6 +354,110 @@ double MedianPairedRatio(const AbSide& a, const AbSide& b) {
     if (b.tps[i] > 0) ratios.push_back(a.tps[i] / b.tps[i]);
   }
   return Median(std::move(ratios));
+}
+
+// --- Chain A/B with machine-readable output ----------------------------------
+
+/// Physical shape of one side of the chain A/B.
+struct ChainAbLayout {
+  int tasks = 0;
+  int fused_edges = 0;
+  int channels = 0;
+};
+
+/// Runs the forward pipeline once, chained or not, appending its
+/// throughput to `side` and recording its layout.
+void RunChainOnce(bool chained, const std::vector<SimpleEvent>& events,
+                  AbSide* side, ChainAbLayout* layout) {
+  ChainPipeline p = MakeForwardChainPipeline(events);
+  if (!chained) UnchainAll(&p.graph);
+  ThreadedExecutor executor(&p.graph);
+  const auto start = std::chrono::steady_clock::now();
+  ExecutionResult result = executor.Run(p.sink);
+  const std::chrono::duration<double> elapsed =
+      std::chrono::steady_clock::now() - start;
+  if (!result.ok) {
+    std::fprintf(stderr, "chain A/B run failed: %s\n", result.error.c_str());
+    std::exit(1);
+  }
+  *layout = ChainAbLayout{};
+  layout->tasks = result.scheduler.num_tasks;
+  for (const ChannelStats& stats : result.channel_stats) {
+    ++(stats.fused ? layout->fused_edges : layout->channels);
+  }
+  side->matches = result.matches_emitted;
+  side->tps.push_back(static_cast<double>(events.size()) / elapsed.count());
+}
+
+void AppendSideJson(std::string* out, const char* key, const AbSide& side,
+                    const ChainAbLayout& layout) {
+  char buf[256];
+  std::snprintf(buf, sizeof(buf),
+                "  \"%s\": {\"throughput_tps\": %.0f, \"tasks\": %d, "
+                "\"fused_edges\": %d, \"channels\": %d}",
+                key, Median(side.tps), layout.tasks, layout.fused_edges,
+                layout.channels);
+  *out += buf;
+}
+
+/// Runs the forward-chain A/B and writes bench_results/BENCH_chain.json:
+/// paired, order-alternating repetitions after one untimed warm-up pair,
+/// per-side median throughput and the median paired ratio. `quick`
+/// shrinks the input and repetition count for CI smoke runs. Ungated: it
+/// exits 0 whatever the ratio.
+int RunChainAb(bool quick) {
+  const int n = quick ? 200000 : 1000000;
+  const int repetitions = quick ? 5 : 9;
+  const std::vector<SimpleEvent> events = MakeEvents(TypeA(), n, 10);
+  AbSide on, off;
+  ChainAbLayout on_layout, off_layout;
+  {
+    AbSide warmup;
+    RunChainOnce(/*chained=*/true, events, &warmup, &on_layout);
+    RunChainOnce(/*chained=*/false, events, &warmup, &off_layout);
+  }
+  for (int rep = 0; rep < repetitions; ++rep) {
+    const bool on_first = (rep % 2) == 0;
+    RunChainOnce(on_first, events, on_first ? &on : &off,
+                 on_first ? &on_layout : &off_layout);
+    RunChainOnce(!on_first, events, on_first ? &off : &on,
+                 on_first ? &off_layout : &on_layout);
+  }
+  if (on.matches != off.matches) {
+    std::fprintf(stderr, "chain A/B: match counts diverged (%lld vs %lld)\n",
+                 static_cast<long long>(on.matches),
+                 static_cast<long long>(off.matches));
+    return 1;
+  }
+
+  std::string json = "{\n";
+  json += "  \"benchmark\": \"forward_chain_ab\",\n";
+  json += "  \"pipeline\": \"source -> filter -> map -> filter -> sink\",\n";
+  json += "  \"tuples_per_run\": " + std::to_string(n) + ",\n";
+  json += "  \"repetitions\": " + std::to_string(repetitions) + ",\n";
+  AppendSideJson(&json, "chain_on", on, on_layout);
+  json += ",\n";
+  AppendSideJson(&json, "chain_off", off, off_layout);
+  json += ",\n";
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "  \"speedup\": %.2f\n",
+                MedianPairedRatio(on, off));
+  json += buf;
+  json += "}\n";
+
+  std::error_code ec;
+  std::filesystem::create_directories("bench_results", ec);
+  const char* path = "bench_results/BENCH_chain.json";
+  std::FILE* f = std::fopen(path, "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot write %s\n", path);
+    return 1;
+  }
+  std::fputs(json.c_str(), f);
+  std::fclose(f);
+  std::printf("%s", json.c_str());
+  std::printf("wrote %s\n", path);
+  return 0;
 }
 
 // --- Expression A/B with machine-readable output -----------------------------

@@ -25,7 +25,6 @@ DiagnosticReport AnalyzeChaining(const JobGraph& graph) {
       switch (verdict) {
         case ChainBreak::kChained:
         case ChainBreak::kNotForward:
-        case ChainBreak::kSourceProducer:
           continue;
         case ChainBreak::kProducerOptedOut:
         case ChainBreak::kConsumerOptedOut:

@@ -219,8 +219,8 @@ int PrintPaperChains() {
 }
 
 /// Prints the scheduler's task layout for one pattern under one option
-/// set — one task per source plus one per (chain, subtask). Purely
-/// informational, like --chains.
+/// set — one task per (chain, subtask), every source heading its own
+/// chain. Purely informational, like --chains.
 void PrintSchedule(const std::string& name, const Pattern& pattern,
                    const OptionSet& set) {
   auto stub_sources = [](EventTypeId type) {

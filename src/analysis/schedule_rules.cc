@@ -19,11 +19,6 @@ std::string ScheduleToString(const JobGraph& graph, int worker_threads) {
   const ChainLayout layout = ComputeChainLayout(graph);
   std::string out;
   int task = 0;
-  for (NodeId id = 0; id < graph.num_nodes(); ++id) {
-    if (!graph.node(id).is_source()) continue;
-    out += "  task " + std::to_string(task++) + ": " + NodeName(graph, id) +
-           " (source)\n";
-  }
   for (size_t c = 0; c < layout.chains.size(); ++c) {
     const std::vector<NodeId>& chain = layout.chains[c];
     const int parallelism = graph.parallelism(chain.front());

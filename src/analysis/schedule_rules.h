@@ -8,9 +8,11 @@
 namespace cep2asp {
 
 /// Human-readable task/worker layout for plan_lint --schedule: one line
-/// per scheduler task ("task 3: win-join[1] (chain 1, subtask 1)"), then
-/// the totals — task count and the worker-pool size the task scheduler
-/// would use (`worker_threads`, 0 meaning hardware_concurrency).
+/// per scheduler task, source-headed chains included ("task 0: source A ->
+/// filter+key (chain 0, subtask 0)", "task 3: win-join -> sink (chain 2,
+/// subtask 1) [x4]"), then the totals — task count and the worker-pool
+/// size the task scheduler would use (`worker_threads`, 0 meaning
+/// hardware_concurrency).
 std::string ScheduleToString(const JobGraph& graph, int worker_threads = 0);
 
 }  // namespace cep2asp

@@ -101,7 +101,8 @@ Status JobGraph::SetChaining(NodeId id, bool enabled) {
   Node& node = nodes_[static_cast<size_t>(id)];
   if (node.is_source()) {
     return Status::InvalidArgument(
-        "SetChaining: sources never chain (" + node.source->name() + ")");
+        "SetChaining: a source always heads its chain (" +
+        node.source->name() + ")");
   }
   node.chaining = enabled;
   return Status::OK();
@@ -202,8 +203,6 @@ const char* ChainBreakToString(ChainBreak verdict) {
       return "chained";
     case ChainBreak::kNotForward:
       return "edge is not forward-partitioned";
-    case ChainBreak::kSourceProducer:
-      return "producer is a source";
     case ChainBreak::kProducerOptedOut:
       return "producer opted out of chaining";
     case ChainBreak::kConsumerOptedOut:
@@ -268,7 +267,6 @@ ChainBreak ClassifyEdge(const JobGraph& graph, NodeId from,
     return ChainBreak::kNotForward;
   }
   const JobGraph::Node& producer = graph.node(from);
-  if (producer.is_source()) return ChainBreak::kSourceProducer;
   if (!producer.chaining) return ChainBreak::kProducerOptedOut;
   if (!graph.node(edge.to).chaining) return ChainBreak::kConsumerOptedOut;
   if (producer.outputs.size() != 1) return ChainBreak::kFanOut;
@@ -312,14 +310,13 @@ ChainLayout ComputeChainLayout(const JobGraph& graph) {
     }
   }
 
-  // Pass 2: every operator without a fused in-edge heads a chain; follow
-  // its (single, by the fan-out rule) fused out-edge to the tail. A fully
-  // fused cycle has no head and its nodes keep chain_of == -1; the graph
-  // lint rejects cycles (E303) before any executor consumes this layout.
+  // Pass 2: every node without a fused in-edge (every source among them)
+  // heads a chain; follow its (single, by the fan-out rule) fused out-edge
+  // to the tail. A fully fused cycle has no head and its nodes keep
+  // chain_of == -1; the graph lint rejects cycles (E303) before any
+  // executor consumes this layout.
   for (NodeId id = 0; id < n; ++id) {
-    if (graph.node(id).is_source() || has_fused_in[static_cast<size_t>(id)]) {
-      continue;
-    }
+    if (has_fused_in[static_cast<size_t>(id)]) continue;
     std::vector<NodeId> chain;
     NodeId cur = id;
     while (true) {

@@ -85,11 +85,11 @@ class JobGraph {
   Status SetKeyDomainHint(NodeId id, int64_t num_keys);
 
   /// Enables/disables operator chaining at node `id` (operators only,
-  /// default on). With chaining off the node always runs as its own
-  /// subtask, ending any chain at both its in- and out-edge. This is the
-  /// one way to force a real exchange onto a forward edge: isolating a
-  /// heavy operator in its own task, or an unchained A/B run (opt every
-  /// operator out).
+  /// default on; a source always heads its chain). With chaining off the
+  /// node always runs as its own subtask, ending any chain at both its in-
+  /// and out-edge. This is the one way to force a real exchange onto a
+  /// forward edge: isolating a heavy operator in its own task, or an
+  /// unchained A/B run (opt every operator out).
   Status SetChaining(NodeId id, bool enabled);
 
   /// Validates the topology by running the analyzer's job-graph lint pass
@@ -177,7 +177,6 @@ class JobGraph {
 enum class ChainBreak : uint8_t {
   kChained,
   kNotForward,           // hash/broadcast edges always cross an exchange
-  kSourceProducer,       // sources keep their own ingestion thread
   kProducerOptedOut,     // producer's chaining knob is off
   kConsumerOptedOut,     // consumer's chaining knob is off
   kFanOut,               // producer has more than one out-edge
@@ -187,20 +186,24 @@ enum class ChainBreak : uint8_t {
 
 const char* ChainBreakToString(ChainBreak verdict);
 
-/// \brief The chain decomposition of a job graph: every operator belongs
-/// to exactly one chain (a maximal run of fused forward edges; an unfused
-/// operator forms a chain of length 1), sources stay outside chains.
+/// \brief The chain decomposition of a job graph: every node belongs to
+/// exactly one chain (a maximal run of fused forward edges; an unfused node
+/// forms a chain of length 1). Every source heads its own chain, so the
+/// stateless prefix behind a source ("source A -> filter+key") runs inside
+/// the source's task and only the edges where the key changes cross an
+/// exchange.
 ///
-/// The threaded executor runs one subtask per (chain, parallel instance):
-/// only the chain head owns input channels, interior nodes receive tuples
-/// in-thread from their producer.
+/// The threaded executor runs one task per (chain, parallel instance): a
+/// source-headed chain is driven by its source, an operator-headed chain
+/// by the head's input channel; interior nodes receive tuples in-thread
+/// from their producer.
 struct ChainLayout {
   /// Chains in head-to-tail node order; chain indices are stable for one
   /// layout but carry no other meaning.
   std::vector<std::vector<NodeId>> chains;
-  /// Per node: owning chain index, or -1 for sources.
+  /// Per node: owning chain index.
   std::vector<int> chain_of;
-  /// Per node: position within its chain (0 = head), or -1 for sources.
+  /// Per node: position within its chain (0 = head).
   std::vector<int> pos_in_chain;
   /// Per node, per out-edge (same order as Node::outputs): the planner's
   /// verdict for that edge.
@@ -212,8 +215,8 @@ struct ChainLayout {
            ChainBreak::kChained;
   }
 
-  /// True when `id` is a chain head (owns real input channels). Sources
-  /// are not heads.
+  /// True when `id` is a chain head: a source, or an operator that owns
+  /// real input channels.
   bool is_head(NodeId id) const {
     return pos_in_chain[static_cast<size_t>(id)] == 0;
   }
@@ -223,18 +226,19 @@ struct ChainLayout {
   /// Total fused edges across the graph.
   int fused_edge_count() const;
 
-  /// Human-readable layout: one line per chain ("chain 0 (x4): filter ->
-  /// map -> sink"), then one line per unchained forward edge naming the
-  /// verdict that broke it.
+  /// Human-readable layout: one line per chain ("chain 0: source A ->
+  /// filter+key", "chain 1 (x4): win-join -> sink"), then one line per
+  /// unchained forward edge naming the verdict that broke it.
   std::string ToString(const JobGraph& graph) const;
 };
 
-/// Computes maximal chains over the physical graph. A forward edge
+/// Computes maximal chains over the physical graph. Every source and every
+/// operator without a fused in-edge heads a chain. A forward edge
 /// producer -> consumer fuses when all of:
 ///   - the edge's PartitionMode is kForward (hash/broadcast cross a real
 ///     exchange by definition),
-///   - the producer is an operator (sources keep their ingestion thread),
-///   - both endpoints' chaining knobs are on (JobGraph::SetChaining),
+///   - both endpoints' chaining knobs are on (JobGraph::SetChaining;
+///     sources have none, so only the consumer's counts),
 ///   - the producer has exactly one out-edge and the consumer exactly one
 ///     in-edge (no fan-out/fan-in inside a chain),
 ///   - both nodes have equal parallelism (subtask i hands to subtask i).

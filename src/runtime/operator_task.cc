@@ -229,14 +229,82 @@ void ChainedCollector::EmitBatch(MessageBatch* batch) {
 }
 
 // ---------------------------------------------------------------------------
+// ChainDriver
+
+ChainDriver::ChainDriver(const TaskContext* ctx,
+                         const std::vector<NodeId>* chain_nodes, int subtask,
+                         std::vector<Operator*> ops)
+    : ctx_(ctx),
+      chain_nodes_(chain_nodes),
+      subtask_(subtask),
+      ops_(std::move(ops)),
+      first_op_pos_(chain_nodes->size() - ops_.size()),
+      router_(ctx->graph, chain_nodes->back(), subtask, ctx->layout,
+              ctx->channels, ctx->batch_size) {
+  // Collector per chain position, built tail-first: the tail batches into
+  // real channels, every fused edge hands to the next operator in-task.
+  // `links_` never reallocates (reserved), so the stored downstream
+  // pointers stay valid.
+  links_.reserve(chain_nodes_->size() - 1);
+  collectors_.assign(ops_.size(), nullptr);
+  Collector* out = &router_;  // output collector of the node at `pos`
+  for (size_t pos = chain_nodes_->size() - 1; pos > 0; --pos) {
+    collectors_[pos - first_op_pos_] = out;
+    const NodeId node = (*chain_nodes_)[pos];
+    const JobGraph::Edge& edge =
+        ctx_->graph->node((*chain_nodes_)[pos - 1]).outputs[0];
+    links_.emplace_back(
+        ops_[pos - first_op_pos_], edge.input_port, out, &status_,
+        &(*ctx_->fused_tuples)[static_cast<size_t>(node)]
+                              [static_cast<size_t>(subtask_)],
+        ctx_->invariants, node, subtask_);
+    out = &links_.back();
+  }
+  head_output_ = out;
+  if (first_op_pos_ == 0) collectors_.front() = out;
+}
+
+Status ChainDriver::Watermark(Timestamp watermark) {
+  if (watermark <= watermark_) return Status::OK();
+  watermark_ = watermark;
+  // Watermarks and Finish cascade through the chain in operator order:
+  // each operator's OnWatermark/Finish emissions reach the downstream
+  // operators (through the links) *before* the control event is forwarded
+  // past them — the same order the unfused per-edge protocol guarantees.
+  for (size_t i = 0; i < ops_.size(); ++i) {
+    const size_t pos = i + first_op_pos_;
+    if (pos > 0 && ctx_->invariants != nullptr) {
+      ctx_->invariants->OnPhysicalWatermark((*chain_nodes_)[pos], subtask_,
+                                            subtask_, watermark);
+    }
+    Status st = ops_[i]->OnWatermark(watermark, collectors_[i]);
+    if (!st.ok()) return st.WithContext(ops_[i]->name());
+    if (!status_.ok()) return status_;
+  }
+  router_.EmitControl(MessageKind::kWatermark, watermark);
+  return Status::OK();
+}
+
+Status ChainDriver::Finish() {
+  Status result;
+  for (size_t i = 0; i < ops_.size() && result.ok(); ++i) {
+    Status st = ops_[i]->Finish(collectors_[i]);
+    result = st.ok() ? status_ : st.WithContext(ops_[i]->name());
+  }
+  router_.EmitControl(MessageKind::kEnd, 0);
+  return result;
+}
+
+// ---------------------------------------------------------------------------
 // SourceTask
 
-SourceTask::SourceTask(const TaskContext* ctx, NodeId node, Source* source)
+SourceTask::SourceTask(const TaskContext* ctx,
+                       const std::vector<NodeId>* chain_nodes, Source* source,
+                       std::vector<Operator*> ops)
     : ctx_(ctx),
       source_(source),
       label_("src:" + source->name()),
-      router_(ctx->graph, node, /*subtask=*/0, ctx->layout, ctx->channels,
-              ctx->batch_size),
+      driver_(ctx, chain_nodes, /*subtask=*/0, std::move(ops)),
       cur_batch_(std::max<size_t>(1, ctx->batch_size)) {
   staged_.reserve(cur_batch_);
 }
@@ -250,28 +318,36 @@ Quantum SourceTask::Park(WakeKind kind, int batches, int64_t deadline_nanos) {
   return q;
 }
 
+void SourceTask::Exhaust() {
+  exhausted_ = true;
+  Status st = driver_.Watermark(kMaxTimestamp);
+  if (st.ok()) st = driver_.Finish();
+  if (!st.ok()) ctx_->record_error(st);
+}
+
 Quantum SourceTask::RunQuantum() {
   Quantum q;
+  RoutingCollector& router = driver_.router();
   // A stuck flush from the previous quantum gates everything: per-channel
   // order would break if new tuples overtook the pending suffix.
-  if (!router_.TryFlushAll()) return Park(WakeKind::kCredit, 0);
+  if (!router.TryFlushAll()) return Park(WakeKind::kCredit, 0);
   if (exhausted_) {
     q.outcome = Quantum::Outcome::kFinished;
     return q;
   }
   Clock* clock = ctx_->clock;
   bool more = true;
+  Tuple tuple;
   while (q.batches < kQuantumBatches) {
     staged_.clear();
     bool paced = false;
-    Tuple tuple;
     if (unpaced_) {
       // Confirmed-unpaced fast path: fill the batch with bare Next()
       // calls. (If such a source ever turns paced again, Next()'s
       // documented self-pacing fallback still bounds its rate — it just
       // blocks the worker instead of timer-parking.)
       while (staged_.size() < cur_batch_ && (more = source_->Next(&tuple))) {
-        staged_.push_back(std::move(tuple));
+        staged_.push_back(Message::Data(0, std::move(tuple)));
       }
     } else {
       // Park-until-deadline pacing: if the source would sleep more than
@@ -293,49 +369,58 @@ Quantum SourceTask::RunQuantum() {
           more = false;
           break;
         }
-        staged_.push_back(std::move(tuple));
+        staged_.push_back(Message::Data(0, std::move(tuple)));
       }
       unpaced_ = more && !saw_deadline && staged_.size() >= cur_batch_;
     }
     if (!staged_.empty()) {
       ++q.batches;
       const Timestamp now = clock->NowMillis();
-      for (Tuple& t : staged_) {
-        for (size_t i = 0; i < t.size(); ++i) {
-          t.mutable_event(i).create_ts = now;
+      for (Message& msg : staged_) {
+        for (size_t i = 0; i < msg.tuple.size(); ++i) {
+          msg.tuple.mutable_event(i).create_ts = now;
         }
       }
-      ctx_->tuples_ingested->fetch_add(static_cast<int64_t>(staged_.size()),
-                                       std::memory_order_relaxed);
-      for (Tuple& t : staged_) router_.Emit(std::move(t));
-      since_watermark_ += static_cast<int>(staged_.size());
-      if (since_watermark_ >= ctx_->watermark_interval) {
+      const int staged = static_cast<int>(staged_.size());
+      ctx_->tuples_ingested->fetch_add(staged, std::memory_order_relaxed);
+      // The stateless prefix runs here, in the source's task; only its
+      // survivors reach the router.
+      driver_.head_output()->EmitBatch(&staged_);
+      Status st = driver_.status();
+      since_watermark_ += staged;
+      if (st.ok() && since_watermark_ >= ctx_->watermark_interval) {
         since_watermark_ = 0;
-        router_.EmitControl(MessageKind::kWatermark,
-                            source_->CurrentWatermark());
+        st = driver_.Watermark(source_->CurrentWatermark());
+      }
+      if (!st.ok()) {
+        // Failed, not ended: no final watermark and no Finish cascade.
+        ctx_->record_error(st);
+        exhausted_ = true;
+        break;
       }
     }
     if (!more) {
-      router_.EmitControl(MessageKind::kWatermark, kMaxTimestamp);
-      router_.EmitControl(MessageKind::kEnd, 0);
-      exhausted_ = true;
-      if (!router_.TryFlushAll()) return Park(WakeKind::kCredit, q.batches);
-      q.outcome = Quantum::Outcome::kFinished;
-      return q;
+      Exhaust();
+      break;
     }
     if (paced) {
       // Deliver partially staged output before sleeping, then park until
       // the source's own deadline, translated into scheduler time.
-      const bool flushed = router_.TryFlushAll();
+      const bool flushed = router.TryFlushAll();
       cur_batch_ = std::max<size_t>(1, cur_batch_ / 2);
       if (!flushed) return Park(WakeKind::kCredit, q.batches);
       const int64_t delta = source_->PacingDeadlineNanos() - clock->NowNanos();
       return Park(WakeKind::kTimer, q.batches,
                   TaskScheduler::SteadyNanos() + std::max<int64_t>(delta, 0));
     }
-    if (router_.stuck()) {
+    if (router.stuck()) {
       return Park(WakeKind::kCredit, q.batches);
     }
+  }
+  if (exhausted_) {
+    if (!router.TryFlushAll()) return Park(WakeKind::kCredit, q.batches);
+    q.outcome = Quantum::Outcome::kFinished;
+    return q;
   }
   // Full quantum without a stall: grow the staging batch back.
   cur_batch_ = std::min(std::max<size_t>(1, ctx_->batch_size), cur_batch_ * 2);
@@ -350,69 +435,28 @@ ChainTask::ChainTask(const TaskContext* ctx,
                      const std::vector<NodeId>* chain_nodes, int subtask,
                      std::vector<Operator*> ops)
     : ctx_(ctx),
-      chain_nodes_(chain_nodes),
+      head_(chain_nodes->front()),
       subtask_(subtask),
-      ops_(std::move(ops)),
-      router_(ctx->graph, chain_nodes->back(), subtask, ctx->layout,
-              ctx->channels, ctx->batch_size),
-      aligner_(
-          ctx->layout->num_slots[static_cast<size_t>(chain_nodes->front())]),
+      label_(ops.front()->name() + "[" + std::to_string(subtask) + "]"),
+      driver_(ctx, chain_nodes, subtask, std::move(ops)),
+      aligner_(ctx->layout->num_slots[static_cast<size_t>(head_)]),
       cur_batch_(std::max<size_t>(1, ctx->batch_size)) {
-  const NodeId head = chain_nodes_->front();
-  label_ = ops_.front()->name() + "[" + std::to_string(subtask_) + "]";
   if (aligner_.num_slots() > 0) {
-    input_ = (*ctx_->channels)[static_cast<size_t>(head)]
+    input_ = (*ctx_->channels)[static_cast<size_t>(head_)]
                               [static_cast<size_t>(subtask_)]
                                   .get();
   }
   in_.reserve(cur_batch_);
-  // Collector per chain position, built tail-first: the tail batches into
-  // real channels, every link hands to the next operator in-task. `links_`
-  // never reallocates (reserved), so the stored downstream pointers stay
-  // valid.
-  links_.reserve(ops_.size());
-  collectors_.assign(ops_.size(), nullptr);
-  collectors_.back() = &router_;
-  for (size_t i = ops_.size() - 1; i >= 1; --i) {
-    const JobGraph::Edge& edge =
-        ctx_->graph->node((*chain_nodes_)[i - 1]).outputs[0];
-    links_.emplace_back(
-        ops_[i], edge.input_port, collectors_[i], &chain_status_,
-        &(*ctx_->fused_tuples)[static_cast<size_t>((*chain_nodes_)[i])]
-                              [static_cast<size_t>(subtask_)],
-        ctx_->invariants, (*chain_nodes_)[i], subtask_);
-    collectors_[i - 1] = &links_.back();
-  }
 }
 
-Status ChainTask::CascadeWatermark(Timestamp watermark) {
-  // Watermarks and Finish cascade through the chain in operator order:
-  // each operator's OnWatermark/Finish emissions reach the downstream
-  // operators (through the links) *before* the control event is forwarded
-  // past them — the same order the unfused per-edge protocol guarantees.
-  for (size_t i = 0; i < ops_.size(); ++i) {
-    if (i > 0 && ctx_->invariants != nullptr) {
-      ctx_->invariants->OnPhysicalWatermark((*chain_nodes_)[i], subtask_,
-                                            subtask_, watermark);
-    }
-    Status st = ops_[i]->OnWatermark(watermark, collectors_[i]);
-    if (!st.ok()) return st.WithContext(ops_[i]->name());
-    if (!chain_status_.ok()) return chain_status_;
-  }
-  return Status::OK();
-}
-
-Status ChainTask::CascadeFinish() {
-  for (size_t i = 0; i < ops_.size(); ++i) {
-    Status st = ops_[i]->Finish(collectors_[i]);
-    if (!st.ok()) return st.WithContext(ops_[i]->name());
-    if (!chain_status_.ok()) return chain_status_;
-  }
-  return Status::OK();
+void ChainTask::Fail(const Status& st) {
+  ctx_->record_error(st);
+  aligner_.ForceDone();
+  phase_ = Phase::kDone;
 }
 
 void ChainTask::ProcessBatch(MessageBatch* batch) {
-  const NodeId head = chain_nodes_->front();
+  Operator* head = driver_.head_op();
   // Steady-state fast path: a batch of only data messages on one port goes
   // to the head operator's ProcessBatch in a single call. Compiled
   // stateless heads run it as one tight loop; everything else falls back
@@ -429,22 +473,13 @@ void ChainTask::ProcessBatch(MessageBatch* batch) {
     if (homogeneous) {
       if (ctx_->invariants != nullptr) {
         for (const Message& msg : *batch) {
-          ctx_->invariants->OnPhysicalTuple(head, subtask_, msg.slot,
+          ctx_->invariants->OnPhysicalTuple(head_, subtask_, msg.slot,
                                             msg.tuple);
         }
       }
-      Status st =
-          ops_.front()->ProcessBatch(port, batch, collectors_.front());
-      if (!st.ok()) {
-        st = st.WithContext(ops_.front()->name());
-      } else if (!chain_status_.ok()) {
-        st = chain_status_;
-      }
-      if (!st.ok()) {
-        ctx_->record_error(st);
-        aligner_.ForceDone();
-        phase_ = Phase::kDone;
-      }
+      Status st = head->ProcessBatch(port, batch, driver_.head_output());
+      st = st.ok() ? driver_.status() : st.WithContext(head->name());
+      if (!st.ok()) Fail(st);
       batch->clear();
       return;
     }
@@ -454,46 +489,31 @@ void ChainTask::ProcessBatch(MessageBatch* batch) {
     switch (msg.kind) {
       case MessageKind::kTuple: {
         if (ctx_->invariants != nullptr) {
-          ctx_->invariants->OnPhysicalTuple(head, subtask_, msg.slot,
+          ctx_->invariants->OnPhysicalTuple(head_, subtask_, msg.slot,
                                             msg.tuple);
         }
-        Status st = ops_.front()->Process(msg.port, std::move(msg.tuple),
-                                          collectors_.front());
-        if (!st.ok()) {
-          st = st.WithContext(ops_.front()->name());
-        } else if (!chain_status_.ok()) {
-          st = chain_status_;
-        }
-        if (!st.ok()) {
-          ctx_->record_error(st);
-          aligner_.ForceDone();
-          phase_ = Phase::kDone;
-        }
+        Status st = head->Process(msg.port, std::move(msg.tuple),
+                                  driver_.head_output());
+        st = st.ok() ? driver_.status() : st.WithContext(head->name());
+        if (!st.ok()) Fail(st);
         break;
       }
       case MessageKind::kWatermark: {
         if (ctx_->invariants != nullptr) {
-          ctx_->invariants->OnPhysicalWatermark(head, subtask_, msg.slot,
+          ctx_->invariants->OnPhysicalWatermark(head_, subtask_, msg.slot,
                                                 msg.watermark);
         }
         Timestamp aligned = kMinTimestamp;
         if (aligner_.OnWatermark(msg.slot, msg.watermark, &aligned)) {
-          Status st = CascadeWatermark(aligned);
-          if (!st.ok()) {
-            ctx_->record_error(st);
-            aligner_.ForceDone();
-            phase_ = Phase::kDone;
-          } else {
-            router_.EmitControl(MessageKind::kWatermark, aligned);
-          }
+          Status st = driver_.Watermark(aligned);
+          if (!st.ok()) Fail(st);
         }
         break;
       }
       case MessageKind::kEnd: {
         if (aligner_.OnEnd()) {
-          Status st = CascadeFinish();
+          Status st = driver_.Finish();
           if (!st.ok()) ctx_->record_error(st);
-          router_.EmitControl(MessageKind::kEnd, 0);
           phase_ = Phase::kDone;
         }
         break;
@@ -516,7 +536,7 @@ void ChainTask::AdaptBatch(int batches_used, bool starved) {
     cur_batch_ =
         std::min(std::max<size_t>(1, ctx_->batch_size), cur_batch_ * 2);
   }
-  router_.set_target_batch(cur_batch_);
+  driver_.router().set_target_batch(cur_batch_);
 }
 
 Quantum ChainTask::Park(WakeKind kind, int batches) {
@@ -529,9 +549,10 @@ Quantum ChainTask::Park(WakeKind kind, int batches) {
 
 Quantum ChainTask::RunQuantum() {
   Quantum q;
+  RoutingCollector& router = driver_.router();
   // Drain any stuck output first: per-channel order forbids new work from
   // overtaking the pending suffix.
-  if (!router_.TryFlushAll()) return Park(WakeKind::kCredit, 0);
+  if (!router.TryFlushAll()) return Park(WakeKind::kCredit, 0);
   if (phase_ == Phase::kDone) {
     q.outcome = Quantum::Outcome::kFinished;
     return q;
@@ -541,13 +562,11 @@ Quantum ChainTask::RunQuantum() {
     if (aligner_.num_slots() == 0) {
       // No upstream at all (lint warns W306): nothing will ever arrive;
       // run the shutdown protocol so downstream terminates.
-      Status st = CascadeWatermark(kMaxTimestamp);
-      if (st.ok()) st = CascadeFinish();
+      Status st = driver_.Watermark(kMaxTimestamp);
+      if (st.ok()) st = driver_.Finish();
       if (!st.ok()) ctx_->record_error(st);
-      router_.EmitControl(MessageKind::kWatermark, kMaxTimestamp);
-      router_.EmitControl(MessageKind::kEnd, 0);
       phase_ = Phase::kDone;
-      if (!router_.TryFlushAll()) return Park(WakeKind::kCredit, 0);
+      if (!router.TryFlushAll()) return Park(WakeKind::kCredit, 0);
       q.outcome = Quantum::Outcome::kFinished;
       return q;
     }
@@ -565,8 +584,7 @@ Quantum ChainTask::RunQuantum() {
       // Input drained for now: hand partial output batches downstream
       // before parking, so a stalled stream never strands tuples in a
       // half-filled batch.
-      collectors_.front()->Flush();
-      if (!router_.TryFlushAll()) {
+      if (!router.TryFlushAll()) {
         stalled = true;
         break;
       }
@@ -575,7 +593,7 @@ Quantum ChainTask::RunQuantum() {
     }
     ++q.batches;
     ProcessBatch(&in_);
-    if (router_.stuck()) {
+    if (router.stuck()) {
       stalled = true;
       break;
     }
@@ -585,7 +603,7 @@ Quantum ChainTask::RunQuantum() {
     return Park(WakeKind::kCredit, q.batches);
   }
   if (phase_ == Phase::kDone) {
-    if (!router_.TryFlushAll()) return Park(WakeKind::kCredit, q.batches);
+    if (!router.TryFlushAll()) return Park(WakeKind::kCredit, q.batches);
     q.outcome = Quantum::Outcome::kFinished;
     return q;
   }

@@ -199,25 +199,88 @@ struct TaskContext {
   std::atomic<int64_t>* tuples_ingested = nullptr;
 };
 
-/// \brief Cooperative task driving one source node: stages up to the
-/// current batch size of tuples per iteration, stamps create_ts, routes
-/// them, and emits periodic watermarks — yielding at quantum boundaries
-/// instead of owning an OS thread. Rate-limited sources park on the
-/// scheduler timer (Source::PacingDeadlineNanos) rather than sleeping a
-/// worker.
+/// \brief The fused operators of one (chain, subtask) and the collectors
+/// between them: the part of a chain's task that SourceTask and ChainTask
+/// share. Owns one ChainedCollector per fused edge and the RoutingCollector
+/// behind the tail, and runs the watermark and Finish cascades in chain
+/// order.
+///
+/// `ops` are the opened operator instances of the chain's operator nodes in
+/// chain order: every node of `chain_nodes`, or every node but the head
+/// when a source heads the chain. head_output() is where the head node's
+/// output enters the rest of the chain: the link into the second node, or
+/// the router when the chain has one node.
+class ChainDriver {
+ public:
+  ChainDriver(const TaskContext* ctx, const std::vector<NodeId>* chain_nodes,
+              int subtask, std::vector<Operator*> ops);
+
+  // The links point at the router and at status_: never copy or move.
+  ChainDriver(const ChainDriver&) = delete;
+  ChainDriver& operator=(const ChainDriver&) = delete;
+
+  /// The head operator of an operator-headed chain.
+  Operator* head_op() const { return ops_.front(); }
+  Collector* head_output() const { return head_output_; }
+  RoutingCollector& router() { return router_; }
+
+  /// First failure raised inside a fused link (carrying the failing
+  /// operator's name), or OK.
+  const Status& status() const { return status_; }
+
+  /// Cascades `watermark` through the operators in chain order, then
+  /// forwards it downstream. A watermark not above the last one cascaded
+  /// is dropped, so operators see strictly increasing values even from a
+  /// source that reports the same watermark twice. Returns the first
+  /// operator failure; nothing is forwarded then.
+  Status Watermark(Timestamp watermark);
+
+  /// Runs Finish through the operators in chain order, then sends
+  /// end-of-stream downstream. Returns the first operator failure.
+  Status Finish();
+
+ private:
+  const TaskContext* ctx_;
+  const std::vector<NodeId>* chain_nodes_;
+  const int subtask_;
+  std::vector<Operator*> ops_;
+  /// Chain position of ops_[0]: 1 when a source heads the chain, else 0.
+  size_t first_op_pos_;
+  Status status_;
+  RoutingCollector router_;
+  std::vector<ChainedCollector> links_;
+  /// collectors_[i]: the output collector of ops_[i].
+  std::vector<Collector*> collectors_;
+  Collector* head_output_ = nullptr;
+  Timestamp watermark_ = kMinTimestamp;
+};
+
+/// \brief Cooperative task driving one source-headed chain: stages up to
+/// the current batch size of tuples per iteration, stamps create_ts, pushes
+/// the batch through the chain's fused operators (the stateless prefix),
+/// routes the tail's output, and emits periodic watermarks — yielding at
+/// quantum boundaries instead of owning an OS thread. Rate-limited sources
+/// park on the scheduler timer (Source::PacingDeadlineNanos) rather than
+/// sleeping a worker.
 class SourceTask : public Task {
  public:
-  SourceTask(const TaskContext* ctx, NodeId node, Source* source);
+  /// `ops` are the already-opened operators behind the source, in chain
+  /// order (empty when the source is alone in its chain).
+  SourceTask(const TaskContext* ctx, const std::vector<NodeId>* chain_nodes,
+             Source* source, std::vector<Operator*> ops);
 
   std::string label() const override { return label_; }
   Quantum RunQuantum() override;
 
  private:
+  /// Ends the stream: final watermark, Finish cascade and end-of-stream.
+  void Exhaust();
+
   const TaskContext* ctx_;
   Source* source_;
   std::string label_;
-  RoutingCollector router_;
-  std::vector<Tuple> staged_;
+  ChainDriver driver_;
+  MessageBatch staged_;
   size_t cur_batch_;
   int since_watermark_ = 0;
   bool exhausted_ = false;
@@ -230,11 +293,11 @@ class SourceTask : public Task {
   Quantum Park(WakeKind kind, int batches, int64_t deadline_nanos = 0);
 };
 
-/// \brief Cooperative task driving one (chain, subtask): pops batches from
-/// the chain head's input channel, runs the fused operators, aligns
-/// watermarks per slot (SlotAligner), and routes the tail's output. Never
-/// blocks: an empty input parks it on kInput, a full output channel on
-/// kCredit.
+/// \brief Cooperative task driving one (operator-headed chain, subtask):
+/// pops batches from the chain head's input channel, runs the fused
+/// operators, aligns watermarks per slot (SlotAligner), and routes the
+/// tail's output. Never blocks: an empty input parks it on kInput, a full
+/// output channel on kCredit.
 class ChainTask : public Task {
  public:
   /// `ops` are the already-opened operator instances of this subtask, in
@@ -248,21 +311,17 @@ class ChainTask : public Task {
  private:
   enum class Phase { kStart, kRun, kDone };
 
-  Status CascadeWatermark(Timestamp watermark);
-  Status CascadeFinish();
   void ProcessBatch(MessageBatch* batch);
+  /// Records `st` as the job's failure and stops consuming input.
+  void Fail(const Status& st);
   void AdaptBatch(int batches_used, bool stalled);
   Quantum Park(WakeKind kind, int batches);
 
   const TaskContext* ctx_;
-  const std::vector<NodeId>* chain_nodes_;
+  const NodeId head_;
   const int subtask_;
   std::string label_;
-  std::vector<Operator*> ops_;
-  Status chain_status_;
-  RoutingCollector router_;
-  std::vector<ChainedCollector> links_;
-  std::vector<Collector*> collectors_;
+  ChainDriver driver_;
   SlotAligner aligner_;
   Channel* input_ = nullptr;
   MessageBatch in_;

@@ -113,13 +113,13 @@ ExecutionResult ThreadedExecutor::Run(const CollectSink* sink) {
   std::atomic<int64_t> tuples_ingested{0};
   int64_t start_nanos = clock->NowNanos();
 
-  // Resolves the operator instance of (node, subtask) and Opens the whole
-  // chain on the calling thread; returns empty on failure (recorded).
-  auto open_chain = [&](const std::vector<NodeId>& chain,
-                        int subtask) -> std::vector<Operator*> {
-    std::vector<Operator*> ops;
-    ops.reserve(chain.size());
+  // Resolves the operator instances of (chain, subtask) and Opens them on
+  // the calling thread; a source head has no operator instance and is
+  // skipped. Returns false on failure (recorded).
+  auto open_chain = [&](const std::vector<NodeId>& chain, int subtask,
+                        std::vector<Operator*>* ops) {
     for (NodeId id : chain) {
+      if (graph_->node(id).is_source()) continue;
       Operator* op =
           subtask == 0
               ? graph_->mutable_node(id).op.get()
@@ -128,11 +128,11 @@ ExecutionResult ThreadedExecutor::Run(const CollectSink* sink) {
       Status open = op->Open();
       if (!open.ok()) {
         record_error(open.WithContext(op->name()));
-        return {};
+        return false;
       }
-      ops.push_back(op);
+      ops->push_back(op);
     }
-    return ops;
+    return true;
   };
 
   TaskContext ctx;
@@ -148,33 +148,32 @@ ExecutionResult ThreadedExecutor::Run(const CollectSink* sink) {
   ctx.tuples_ingested = &tuples_ingested;
 
   std::vector<std::unique_ptr<Task>> tasks;
-  // Producing task(s) of every node: sources have one task, operator
-  // nodes are driven by the task(s) of their chain. Used to wire credit
-  // hooks (a consumer pop wakes the producers of that channel).
+  // Producing task(s) of every node: the task(s) of its chain. Used to
+  // wire credit hooks (a consumer pop wakes the producers of that channel).
   std::vector<std::vector<Task*>> tasks_of_node(static_cast<size_t>(n));
   // Consuming task per (chain head, subtask), indexed like `channels`.
   std::vector<std::vector<Task*>> consumer_of(static_cast<size_t>(n));
 
-  for (NodeId id = 0; id < n; ++id) {
-    JobGraph::Node& node = graph_->mutable_node(id);
-    if (!node.is_source()) continue;
-    tasks.push_back(std::make_unique<SourceTask>(&ctx, id, node.source.get()));
-    tasks_of_node[static_cast<size_t>(id)].push_back(tasks.back().get());
-  }
   for (int c = 0; c < chain_layout.num_chains(); ++c) {
     const std::vector<NodeId>& chain =
         chain_layout.chains[static_cast<size_t>(c)];
     const NodeId head = chain.front();
+    JobGraph::Node& head_node = graph_->mutable_node(head);
     const int subtasks = graph_->parallelism(head);
     consumer_of[static_cast<size_t>(head)].assign(
         static_cast<size_t>(subtasks), nullptr);
     for (int subtask = 0; subtask < subtasks; ++subtask) {
-      std::vector<Operator*> ops = open_chain(chain, subtask);
-      if (ops.empty()) continue;  // Open failed; channels already closed
-      tasks.push_back(
-          std::make_unique<ChainTask>(&ctx, &chain, subtask, std::move(ops)));
-      consumer_of[static_cast<size_t>(head)][static_cast<size_t>(subtask)] =
-          tasks.back().get();
+      std::vector<Operator*> ops;
+      if (!open_chain(chain, subtask, &ops)) continue;  // channels closed
+      if (head_node.is_source()) {
+        tasks.push_back(std::make_unique<SourceTask>(
+            &ctx, &chain, head_node.source.get(), std::move(ops)));
+      } else {
+        tasks.push_back(
+            std::make_unique<ChainTask>(&ctx, &chain, subtask, std::move(ops)));
+        consumer_of[static_cast<size_t>(head)][static_cast<size_t>(subtask)] =
+            tasks.back().get();
+      }
       for (NodeId id : chain) {
         tasks_of_node[static_cast<size_t>(id)].push_back(tasks.back().get());
       }
@@ -188,8 +187,8 @@ ExecutionResult ThreadedExecutor::Run(const CollectSink* sink) {
     NodeChannels& node_channels = channels[static_cast<size_t>(to)];
     if (node_channels.empty()) continue;
     // Producers of (to, *): tasks of every node with an unfused edge
-    // into `to`. Unfused out-edges only exist on sources and chain
-    // tails, whose tasks own the RoutingCollector that pushes here.
+    // into `to`. Unfused out-edges only exist on chain tails, whose tasks
+    // own the RoutingCollector that pushes here.
     std::vector<Task*> producers;
     for (NodeId from = 0; from < n; ++from) {
       const JobGraph::Node& from_node = graph_->node(from);
@@ -255,6 +254,12 @@ ExecutionResult ThreadedExecutor::Run(const CollectSink* sink) {
       result.peak_state_bytes += clone->StateBytes();
     }
   }
+  // Release the subtask clones now that every task has returned: a sink
+  // clone folds its matches and latencies into the graph's sink when it is
+  // destroyed (CollectSink::CloneForSubtask), so `sink` is complete only
+  // from here on. The tasks go first; they hold pointers to the clones.
+  tasks.clear();
+  clones.clear();
   for (NodeId id = 0; id < n; ++id) {
     const JobGraph::Node& node = graph_->node(id);
     if (node.is_source()) continue;

@@ -37,9 +37,9 @@ struct ThreadedExecutorOptions {
 };
 
 /// \brief Executor running the physical units of a job graph — every
-/// source and every (chain, subtask instance) — as cooperative tasks on a
-/// fixed TaskScheduler worker pool, connected by micro-batched exchange
-/// channels.
+/// (chain, subtask instance), each source heading a chain of its own — as
+/// cooperative tasks on a fixed TaskScheduler worker pool, connected by
+/// micro-batched exchange channels.
 ///
 /// This realizes both kinds of parallelism the paper's mapping unlocks:
 /// pipeline parallelism from decomposing the pattern into multiple
@@ -60,11 +60,15 @@ struct ThreadedExecutorOptions {
 /// tuples inside a chain are handed to the next operator's Process
 /// directly via a ChainedCollector — no
 /// MessageBatch, no queue, no copy — and only chain-boundary edges get
-/// real exchange channels. Watermarks and Finish propagate through the
-/// chain in operator order before being forwarded downstream, so chain
-/// fusion is invisible to operators and to event-time semantics. Fused
-/// edges still appear in ChannelStats, flagged `fused` with zero queue
-/// traffic.
+/// real exchange channels. A source heads its chain, so the stateless
+/// prefix behind it runs in the source's task, and a sink at its
+/// producer's parallelism fuses behind each producer subtask (its clones
+/// fold their results into the graph's sink once the run has joined): in
+/// translated keyed plans only the hash edges into the joins cross an
+/// exchange. Watermarks and Finish propagate through the chain in operator
+/// order before being forwarded downstream, so chain fusion is invisible
+/// to operators and to event-time semantics. Fused edges still appear in
+/// ChannelStats, flagged `fused` with zero queue traffic.
 ///
 /// Tuples cross boundary edges in MessageBatches (one channel
 /// synchronization per batch, not per tuple); physical-fan-in-1 channels

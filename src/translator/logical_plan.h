@@ -47,11 +47,13 @@ struct LogicalOp {
   Predicate predicate;        // kFilter (var 0 = head event) / join condition
                               // in *concatenated output* index space
   Attribute key_attr = Attribute::kId;         // kKeyByAttr
-  /// Keyed stages only (joins/aggregations under O3 attribute keys, and
-  /// the key-assigning maps feeding them): the stage computes per key and
-  /// may run with parallelism > 1 behind a hash-partitioned exchange
-  /// (paper §4.2.3). Constant-key stages stay sequential — every tuple
-  /// shares one key, so hash routing would address a single subtask.
+  /// Keyed stages only (joins/aggregations under O3 attribute keys): the
+  /// stage computes per key and may run with parallelism > 1 behind a
+  /// hash-partitioned exchange (paper §4.2.3). Constant-key stages stay
+  /// sequential — every tuple shares one key, so hash routing would
+  /// address a single subtask. The key-assigning maps feeding them are not
+  /// parallelizable: they run inside their source's task, at its
+  /// parallelism, and the hash exchange starts behind them.
   bool parallelizable = false;
   int64_t const_key = 0;                       // kKeyByConst
   SlidingWindowSpec window;                    // kWindowJoin/kAggregate/...

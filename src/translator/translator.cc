@@ -106,7 +106,6 @@ std::unique_ptr<LogicalOp> MakeKeyOp(const BuildContext& ctx,
                                    : LogicalOpKind::kKeyByConst;
   key->key_attr = ctx.key_plan.attr;
   key->const_key = 0;
-  key->parallelizable = ctx.key_plan.by_attr;
   key->positions = input->positions;
   key->inputs.push_back(std::move(input));
   return key;
@@ -599,8 +598,8 @@ Status ApplyParallelism(const LogicalOp& op, NodeId id, CompileContext* ctx) {
 
 /// Edge mode into a keyed stateful stage: hash-partitioned when the stage
 /// runs parallel (each key's events must meet in one subtask), plain
-/// forward otherwise. Key-assigning maps themselves take forward
-/// (rebalance) input — their tuples carry no partition key yet.
+/// forward otherwise. Key-assigning maps themselves take forward input
+/// and fuse with their source — their tuples carry no partition key yet.
 PartitionMode KeyedInputMode(const LogicalOp& op, const CompileContext& ctx) {
   return (ctx.parallelism > 1 && op.parallelizable) ? PartitionMode::kHash
                                                     : PartitionMode::kForward;
@@ -639,7 +638,6 @@ Result<NodeId> CompileNode(const LogicalOp& op, CompileContext* ctx) {
           std::make_unique<CompiledStatelessOperator>(std::move(fused),
                                                       "filter+key"));
       CEP2ASP_RETURN_IF_ERROR(ctx->graph->Connect(in, id, 0));
-      CEP2ASP_RETURN_IF_ERROR(ApplyParallelism(op, id, ctx));
       return id;
     }
   }
@@ -698,9 +696,6 @@ Result<NodeId> CompileNode(const LogicalOp& op, CompileContext* ctx) {
       }
       NodeId id = graph->AddOperator(std::move(map));
       CEP2ASP_RETURN_IF_ERROR(graph->Connect(inputs[0], id, 0));
-      if (op.kind == LogicalOpKind::kKeyByAttr) {
-        CEP2ASP_RETURN_IF_ERROR(ApplyParallelism(op, id, ctx));
-      }
       return id;
     }
     case LogicalOpKind::kUnion: {
@@ -803,36 +798,6 @@ Result<NodeId> CompileNode(const LogicalOp& op, CompileContext* ctx) {
   return Status::Internal("unknown logical op kind");
 }
 
-/// Chain-friendly parallelism alignment: a stateless, cloneable operator
-/// whose single forward out-edge is the only input of a wider parallel
-/// consumer is widened to that consumer's parallelism. Without this, the
-/// pre-key stages (filter -> key-assigning map) stay at parallelism 1 and
-/// every parallel plan pays a rebalance exchange in front of each keyed
-/// stage; with it, the whole stateless prefix fuses into the parallel
-/// chain (see ComputeChainLayout). Iterates to a fixpoint so prefixes of
-/// any length widen together. Results are unaffected: the rebalance this
-/// removes was already spreading tuples over subtasks arbitrarily, and
-/// key-based routing only starts at the hash edges downstream.
-void AlignStatelessPrefixParallelism(JobGraph* graph) {
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (NodeId id = 0; id < graph->num_nodes(); ++id) {
-      const JobGraph::Node& node = graph->node(id);
-      if (node.is_source() || node.outputs.size() != 1) continue;
-      const JobGraph::Edge& edge = node.outputs[0];
-      if (edge.partition != PartitionMode::kForward) continue;
-      if (graph->fan_in(edge.to) != 1) continue;
-      const int consumer_parallelism = graph->parallelism(edge.to);
-      if (node.parallelism >= consumer_parallelism) continue;
-      if (node.op->Traits().stateful) continue;
-      if (node.op->CloneForSubtask() == nullptr) continue;
-      CEP2ASP_CHECK_OK(graph->SetParallelism(id, consumer_parallelism));
-      changed = true;
-    }
-  }
-}
-
 /// Final gate before handing out a runnable graph: the empty-catalog range
 /// pass costs one topological sweep and still proves self-contradictory
 /// filters dead (E318) and malformed bytecode (E321) without any declared
@@ -843,6 +808,35 @@ Status RefuseDeadPlans(const JobGraph& graph) {
   return ranges.report.ToStatus();
 }
 
+/// Compiles `plan`'s operator tree into `query->graph`; returns the node
+/// whose output is the query result.
+Result<NodeId> CompileRoot(const LogicalPlan& plan,
+                           const SourceFactory& source_factory,
+                           CompiledQuery* query) {
+  CompileContext ctx;
+  ctx.factory = &source_factory;
+  ctx.graph = &query->graph;
+  ctx.parallelism = plan.parallelism;
+  ctx.num_keys_hint = plan.num_keys_hint;
+  ctx.compile_expressions = plan.compile_expressions;
+  return CompileNode(*plan.root, &ctx);
+}
+
+/// Terminates the graph with the result sink behind `last`, at `last`'s
+/// parallelism so that each subtask fuses with its own sink instance and
+/// no exchange carries the matches, then runs the final gates.
+Status AttachSink(NodeId last, bool store_matches, Clock* clock,
+                  CompiledQuery* query) {
+  auto sink = std::make_unique<CollectSink>(store_matches, clock);
+  query->sink = sink.get();
+  const NodeId sink_id = query->graph.AddOperator(std::move(sink));
+  CEP2ASP_RETURN_IF_ERROR(query->graph.Connect(last, sink_id, 0));
+  CEP2ASP_RETURN_IF_ERROR(
+      query->graph.SetParallelism(sink_id, query->graph.parallelism(last)));
+  CEP2ASP_RETURN_IF_ERROR(query->graph.Validate());
+  return RefuseDeadPlans(query->graph);
+}
+
 }  // namespace
 
 Result<CompiledQuery> CompilePlan(const LogicalPlan& plan,
@@ -850,20 +844,9 @@ Result<CompiledQuery> CompilePlan(const LogicalPlan& plan,
                                   bool store_matches, Clock* clock) {
   if (!plan.root) return Status::InvalidArgument("empty logical plan");
   CompiledQuery query;
-  CompileContext ctx;
-  ctx.factory = &source_factory;
-  ctx.graph = &query.graph;
-  ctx.parallelism = plan.parallelism;
-  ctx.num_keys_hint = plan.num_keys_hint;
-  ctx.compile_expressions = plan.compile_expressions;
-  CEP2ASP_ASSIGN_OR_RETURN(NodeId last, CompileNode(*plan.root, &ctx));
-  auto sink = std::make_unique<CollectSink>(store_matches, clock);
-  query.sink = sink.get();
-  NodeId sink_id = query.graph.AddOperator(std::move(sink));
-  CEP2ASP_RETURN_IF_ERROR(query.graph.Connect(last, sink_id, 0));
-  if (plan.parallelism > 1) AlignStatelessPrefixParallelism(&query.graph);
-  CEP2ASP_RETURN_IF_ERROR(query.graph.Validate());
-  CEP2ASP_RETURN_IF_ERROR(RefuseDeadPlans(query.graph));
+  CEP2ASP_ASSIGN_OR_RETURN(NodeId last,
+                           CompileRoot(plan, source_factory, &query));
+  CEP2ASP_RETURN_IF_ERROR(AttachSink(last, store_matches, clock, &query));
   return query;
 }
 
@@ -875,23 +858,13 @@ Result<CompiledQuery> TranslatePattern(const Pattern& pattern,
   CEP2ASP_ASSIGN_OR_RETURN(LogicalPlan plan, translator.ToLogicalPlan(pattern));
   if (options.deduplicate_output) {
     CompiledQuery query;
-    CompileContext ctx;
-    ctx.factory = &source_factory;
-    ctx.graph = &query.graph;
-    ctx.parallelism = plan.parallelism;
-    ctx.num_keys_hint = plan.num_keys_hint;
-    ctx.compile_expressions = plan.compile_expressions;
-    CEP2ASP_ASSIGN_OR_RETURN(NodeId last, CompileNode(*plan.root, &ctx));
+    CEP2ASP_ASSIGN_OR_RETURN(NodeId last,
+                             CompileRoot(plan, source_factory, &query));
     NodeId dedup_id = query.graph.AddOperator(
         std::make_unique<DedupOperator>(2 * plan.window_size));
     CEP2ASP_RETURN_IF_ERROR(query.graph.Connect(last, dedup_id, 0));
-    auto sink = std::make_unique<CollectSink>(store_matches, clock);
-    query.sink = sink.get();
-    NodeId sink_id = query.graph.AddOperator(std::move(sink));
-    CEP2ASP_RETURN_IF_ERROR(query.graph.Connect(dedup_id, sink_id, 0));
-    if (plan.parallelism > 1) AlignStatelessPrefixParallelism(&query.graph);
-    CEP2ASP_RETURN_IF_ERROR(query.graph.Validate());
-    CEP2ASP_RETURN_IF_ERROR(RefuseDeadPlans(query.graph));
+    CEP2ASP_RETURN_IF_ERROR(
+        AttachSink(dedup_id, store_matches, clock, &query));
     return query;
   }
   return CompilePlan(plan, source_factory, store_matches, clock);

@@ -69,8 +69,10 @@ struct TranslatorOptions {
   /// (paper §4.2.3: the Equi Join "is computed per key and
   /// parallelizable"). Takes effect only when O3 finds attribute keys —
   /// the keyed joins/aggregations then run with this parallelism behind
-  /// hash-partitioned exchanges, and the key-assigning maps scale with
-  /// them. 1 (default) compiles the historical sequential job.
+  /// hash-partitioned exchanges, the key-assigning maps stay in their
+  /// sources' tasks, and the result sink runs at the parallelism of the
+  /// stage it follows. 1 (default) compiles the historical sequential
+  /// job.
   int parallelism = 1;
   /// Declared number of distinct partition-key values (0 = unknown);
   /// forwarded to the job graph as key-domain hint so the lint can flag

@@ -14,6 +14,7 @@
 #include "asp/sliding_window_join.h"
 #include "asp/stateless.h"
 #include "runtime/executor.h"
+#include "runtime/job_graph.h"
 #include "runtime/threaded_executor.h"
 #include "runtime/vector_source.h"
 #include "tests/test_util.h"
@@ -145,6 +146,156 @@ TEST(FailureTest, OperatorFaultStopsThreadedRunWithoutDeadlock) {
           << result.error;
       EXPECT_NE(result.error.find("faulty"), std::string::npos)
           << "error should name the failing operator: " << result.error;
+    }
+  }
+}
+
+/// Two-input pass-through (a join's shape) that fails on the `fail_at`-th
+/// tuple carrying key `fail_key`. Hash routing sends that key to exactly
+/// one subtask, so exactly one subtask instance fails.
+class FaultyJoin : public Operator {
+ public:
+  FaultyJoin(int64_t fail_key, int fail_at)
+      : fail_key_(fail_key), fail_at_(fail_at) {}
+
+  std::string name() const override { return "faulty-join"; }
+  int num_inputs() const override { return 2; }
+
+  std::unique_ptr<Operator> CloneForSubtask() const override {
+    return std::make_unique<FaultyJoin>(fail_key_, fail_at_);
+  }
+
+  Status Process(int, Tuple tuple, Collector* out) override {
+    if (tuple.key() == fail_key_ && ++seen_ == fail_at_) {
+      return Status::Internal("injected join fault");
+    }
+    out->Emit(std::move(tuple));
+    return Status::OK();
+  }
+
+ private:
+  int64_t fail_key_;
+  int fail_at_;
+  int seen_ = 0;
+};
+
+std::vector<SimpleEvent> KeyedEvents(EventTypeId type, int count) {
+  std::vector<SimpleEvent> events;
+  for (int i = 0; i < count; ++i) {
+    events.push_back(Ev(type, i % 16, i * 1000, i));
+  }
+  return events;
+}
+
+/// Asserts the clean-unwind contract of one failed threaded run: !ok, the
+/// failing operator's context in `error`, every task finished (no task is
+/// left parked: each park was matched by a wake-up).
+void ExpectCleanFailure(const ExecutionResult& result, const char* fault,
+                        const char* op, int tasks, const std::string& what) {
+  EXPECT_FALSE(result.ok) << what;
+  EXPECT_NE(result.error.find(fault), std::string::npos)
+      << what << ": " << result.error;
+  EXPECT_NE(result.error.find(op), std::string::npos)
+      << what << ": error should name the failing operator: " << result.error;
+  EXPECT_EQ(result.scheduler.num_tasks, tasks) << what;
+  EXPECT_EQ(result.scheduler.total_parks(), result.scheduler.total_unparks())
+      << what << ": a task was left parked";
+}
+
+TEST(FailureTest, FaultInSourceHeadedPrefixStopsRun) {
+  // source -> faulty -> key-by fuses into the source's task; the fault
+  // fires inside that chain while the hash exchange behind it feeds four
+  // parallel subtasks through small channels.
+  for (int workers : {1, 2}) {
+    JobGraph graph;
+    NodeId src = graph.AddSource(
+        std::make_unique<VectorSource>("s", KeyedEvents(0, 100000)));
+    NodeId faulty =
+        graph.AddOperatorAfter(src, std::make_unique<FaultyOperator>(5000));
+    NodeId keyed = graph.AddOperatorAfter(
+        faulty, MapOperator::KeyByAttribute(0, Attribute::kId));
+    NodeId mapped = graph.AddOperator(
+        std::make_unique<MapOperator>([](Tuple t) { return t; }, "identity"));
+    CEP2ASP_CHECK_OK(graph.Connect(keyed, mapped, 0, PartitionMode::kHash));
+    CEP2ASP_CHECK_OK(graph.SetParallelism(mapped, 4));
+    auto sink_op = std::make_unique<CollectSink>();
+    CollectSink* sink = sink_op.get();
+    NodeId sink_id = graph.AddOperatorAfter(mapped, std::move(sink_op));
+    CEP2ASP_CHECK_OK(graph.SetParallelism(sink_id, 4));
+
+    const ChainLayout layout = ComputeChainLayout(graph);
+    ASSERT_EQ(layout.chains[static_cast<size_t>(layout.chain_of[src])],
+              (std::vector<NodeId>{src, faulty, keyed}));
+
+    ThreadedExecutorOptions options;
+    options.queue_capacity = 16;
+    options.worker_threads = workers;
+    ThreadedExecutor executor(&graph, options);
+    ExecutionResult result =
+        RunWithDeadline(&executor, sink, std::chrono::seconds(60));
+    std::string what = "workers=";
+    what += std::to_string(workers);
+    ExpectCleanFailure(result, "injected operator fault", "faulty",
+                       /*tasks=*/1 + 4, what);
+    EXPECT_LE(sink->count(), 5000);
+  }
+}
+
+/// Two sources keyed and hash-partitioned into a parallel FaultyJoin whose
+/// subtasks each end in their own sink clone.
+JobGraph BuildFaultyJoinGraph(int parallelism, CollectSink** sink_out,
+                              NodeId* join_out) {
+  JobGraph graph;
+  NodeId join = graph.AddOperator(std::make_unique<FaultyJoin>(3, 500));
+  for (int port = 0; port < 2; ++port) {
+    std::string name = "s";
+    name += std::to_string(port);
+    NodeId src = graph.AddSource(
+        std::make_unique<VectorSource>(name, KeyedEvents(port, 50000)));
+    NodeId keyed = graph.AddOperatorAfter(
+        src, MapOperator::KeyByAttribute(0, Attribute::kId));
+    CEP2ASP_CHECK_OK(graph.Connect(keyed, join, port, PartitionMode::kHash));
+  }
+  CEP2ASP_CHECK_OK(graph.SetParallelism(join, parallelism));
+  auto sink_op = std::make_unique<CollectSink>();
+  *sink_out = sink_op.get();
+  NodeId sink = graph.AddOperatorAfter(join, std::move(sink_op));
+  CEP2ASP_CHECK_OK(graph.SetParallelism(sink, parallelism));
+  *join_out = join;
+  return graph;
+}
+
+TEST(FailureTest, FaultInJoinSubtaskFusedWithSinkCloneStopsRun) {
+  for (bool chaining : {true, false}) {
+    for (int workers : {1, 2}) {
+      CollectSink* sink = nullptr;
+      NodeId join = -1;
+      JobGraph graph = BuildFaultyJoinGraph(4, &sink, &join);
+      if (!chaining) UnchainAll(&graph);
+      const ChainLayout layout = ComputeChainLayout(graph);
+      const std::vector<NodeId>& join_chain =
+          layout.chains[static_cast<size_t>(layout.chain_of[join])];
+      // Chained: each join subtask ends in its own sink clone. Unchained:
+      // the sinks run as four tasks of their own behind real channels.
+      EXPECT_EQ(join_chain.size(), chaining ? 2u : 1u);
+
+      ThreadedExecutorOptions options;
+      options.queue_capacity = 16;
+      options.worker_threads = workers;
+      ThreadedExecutor executor(&graph, options);
+      ExecutionResult result =
+          RunWithDeadline(&executor, sink, std::chrono::seconds(60));
+      // Chained: 2 source chains + 4 join->sink subtasks. Unchained: 2
+      // sources + 2 key-bys + 4 joins + 4 sinks.
+      std::string what = "chaining=";
+      what += std::to_string(chaining);
+      what += " workers=";
+      what += std::to_string(workers);
+      ExpectCleanFailure(result, "injected join fault", "faulty-join",
+                         chaining ? 2 + 4 : 2 + 2 + 4 + 4, what);
+      // The sink clones of the surviving subtasks folded into `sink`.
+      EXPECT_EQ(sink->count(), static_cast<int64_t>(sink->tuples().size()));
+      EXPECT_EQ(sink->latencies().size(), sink->tuples().size());
     }
   }
 }

@@ -282,13 +282,10 @@ TEST_F(InvarianceTest, ParallelismMatrixPreservesMatchMultisets) {
               EXPECT_FALSE(result.partition_skew.empty())
                   << c.name << " parallelism=" << parallelism;
             }
-            if (chaining && (!compile_exprs || parallelism == 1)) {
+            if (chaining) {
               // The translated plans must contain at least one fusable
-              // forward run — otherwise this axis tests nothing. With
-              // compiled expressions at parallelism > 1 the filter→key
-              // prefix is already one operator wedged between a source
-              // edge and a hash edge, so no chainable edge remains —
-              // the fusion subsumed what chaining used to buy there.
+              // forward run — otherwise this axis tests nothing. Every
+              // source fuses with the stateless prefix behind it.
               const ChainLayout layout = ComputeChainLayout(compiled->graph);
               EXPECT_GT(layout.fused_edge_count(), 0)
                   << c.name << " parallelism=" << parallelism
@@ -297,6 +294,101 @@ TEST_F(InvarianceTest, ParallelismMatrixPreservesMatchMultisets) {
           }
         }
       }
+    }
+  }
+}
+
+/// Forwards exactly the Operator virtuals of the result sink's interface
+/// — and no other — the way the benchmark's tracing wrappers do, so a
+/// parallel sink's results can only reach the graph's sink through them.
+class ForwardingOperator : public Operator {
+ public:
+  explicit ForwardingOperator(std::unique_ptr<Operator> inner)
+      : inner_(std::move(inner)) {}
+
+  std::string name() const override { return inner_->name(); }
+  OperatorTraits Traits() const override { return inner_->Traits(); }
+  int num_inputs() const override { return inner_->num_inputs(); }
+  Status Open() override { return inner_->Open(); }
+  Status Process(int input, Tuple tuple, Collector* out) override {
+    return inner_->Process(input, std::move(tuple), out);
+  }
+  Status ProcessBatch(int input, MessageBatch* batch, Collector* out) override {
+    return inner_->ProcessBatch(input, batch, out);
+  }
+  Status OnWatermark(Timestamp watermark, Collector* out) override {
+    return inner_->OnWatermark(watermark, out);
+  }
+  Status Finish(Collector* out) override { return inner_->Finish(out); }
+  size_t StateBytes() const override { return inner_->StateBytes(); }
+  std::unique_ptr<Operator> CloneForSubtask() const override {
+    std::unique_ptr<Operator> clone = inner_->CloneForSubtask();
+    if (clone == nullptr) return nullptr;
+    return std::make_unique<ForwardingOperator>(std::move(clone));
+  }
+
+ private:
+  std::unique_ptr<Operator> inner_;
+};
+
+TEST_F(InvarianceTest, ParallelSinkMergesEverySubtask) {
+  // The sink runs at the parallelism of the join it follows, fused behind
+  // each join subtask. After Run the graph's sink must hold what one
+  // sequential sink would: the same count, one latency sample per match
+  // and the same match multiset as PipelineExecutor.
+  TranslatorOptions o3;
+  o3.use_equi_join_keys = true;
+  constexpr int kEndOfStreamOnly = 1 << 20;
+  auto reference_job =
+      TranslatePattern(Seq3Keyed(), o3, workload_.MakeSourceFactory());
+  ASSERT_TRUE(reference_job.ok()) << reference_job.status();
+  ExecutorOptions reference_options;
+  reference_options.watermark_interval = kEndOfStreamOnly;
+  ExecutionResult reference_run =
+      RunJob(&reference_job->graph, reference_job->sink, reference_options);
+  ASSERT_TRUE(reference_run.ok) << reference_run.error;
+  const CollectSink& reference_sink = *reference_job->sink;
+  ASSERT_GT(reference_sink.count(), 0);
+  const auto reference = test::MatchMultiset(reference_sink.tuples());
+
+  for (int parallelism : {1, 2, 4}) {
+    for (bool wrapped : {false, true}) {
+      TranslatorOptions opt = o3;
+      opt.parallelism = parallelism;
+      auto compiled =
+          TranslatePattern(Seq3Keyed(), opt, workload_.MakeSourceFactory());
+      ASSERT_TRUE(compiled.ok()) << compiled.status();
+      JobGraph& graph = compiled->graph;
+      NodeId sink_id = -1;
+      for (NodeId id = 0; id < graph.num_nodes(); ++id) {
+        if (!graph.node(id).is_source() && graph.node(id).op->Traits().is_sink) {
+          sink_id = id;
+        }
+      }
+      ASSERT_GE(sink_id, 0);
+      ASSERT_EQ(graph.parallelism(sink_id), parallelism);
+      // The last join and the sink share a chain: no exchange carries the
+      // matches.
+      const ChainLayout layout = ComputeChainLayout(graph);
+      EXPECT_FALSE(layout.is_head(sink_id));
+      if (wrapped) {
+        JobGraph::Node& node = graph.mutable_node(sink_id);
+        node.op = std::make_unique<ForwardingOperator>(std::move(node.op));
+      }
+      ThreadedExecutorOptions options;
+      options.watermark_interval = kEndOfStreamOnly;
+      ThreadedExecutor executor(&graph, options);
+      ExecutionResult result = executor.Run(compiled->sink);
+      ASSERT_TRUE(result.ok) << result.error;
+      std::string what = "parallelism=";
+      what += std::to_string(parallelism);
+      what += wrapped ? " wrapped" : "";
+      const CollectSink& sink = *compiled->sink;
+      EXPECT_EQ(sink.count(), reference_sink.count()) << what;
+      EXPECT_EQ(result.matches_emitted, reference_sink.count()) << what;
+      EXPECT_EQ(sink.latencies().size(), reference_sink.latencies().size())
+          << what;
+      EXPECT_EQ(test::MatchMultiset(sink.tuples()), reference) << what;
     }
   }
 }

@@ -661,9 +661,10 @@ TEST(ThreadedExecutorTest, SingleProducerEdgesUseSpscFastPath) {
 }
 
 TEST(ThreadedExecutorTest, FusedEdgeReportedAsZeroTrafficChannel) {
-  // Default chaining: filter -> sink fuses, the sink's ChannelStats entry
-  // must survive flagged `fused` with the hand-off count but zero queue
-  // traffic, while source -> filter stays a real SPSC channel.
+  // Default chaining: source -> filter -> sink is one source-headed chain,
+  // so no exchange channel exists at all. Both fused edges must still
+  // report a ChannelStats entry, flagged `fused`, with the hand-off count
+  // and zero queue traffic, and the whole job runs as a single task.
   JobGraph graph;
   NodeId src = graph.AddSource(
       std::make_unique<VectorSource>("s", MakeEvents(0, 500)));
@@ -676,21 +677,16 @@ TEST(ThreadedExecutorTest, FusedEdgeReportedAsZeroTrafficChannel) {
   ExecutionResult result = executor.Run(sink);
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_EQ(result.matches_emitted, 500);
+  EXPECT_EQ(result.scheduler.num_tasks, 1);
   ASSERT_EQ(result.channel_stats.size(), 2u);
   bool saw_filter = false, saw_sink = false;
   for (const ChannelStats& stats : result.channel_stats) {
-    if (stats.consumer == "sink") {
-      EXPECT_TRUE(stats.fused) << stats.ToString();
-      EXPECT_EQ(stats.tuples, 500) << stats.ToString();
-      EXPECT_EQ(stats.batches, 0) << stats.ToString();
-      EXPECT_EQ(stats.blocked_push_nanos, 0) << stats.ToString();
-      saw_sink = true;
-    } else {
-      EXPECT_FALSE(stats.fused) << stats.ToString();
-      EXPECT_TRUE(stats.spsc) << stats.ToString();
-      EXPECT_GE(stats.messages, 500) << stats.ToString();
-      saw_filter = true;
-    }
+    EXPECT_TRUE(stats.fused) << stats.ToString();
+    EXPECT_EQ(stats.tuples, 500) << stats.ToString();
+    EXPECT_EQ(stats.batches, 0) << stats.ToString();
+    EXPECT_EQ(stats.blocked_push_nanos, 0) << stats.ToString();
+    saw_filter |= stats.consumer == "filter";
+    saw_sink |= stats.consumer == "sink";
   }
   EXPECT_TRUE(saw_filter);
   EXPECT_TRUE(saw_sink);
@@ -754,25 +750,33 @@ TEST(ChainPlannerTest, FusesLinearForwardPipeline) {
       filter, std::make_unique<MapOperator>([](Tuple t) { return t; }));
   NodeId sink = graph.AddOperatorAfter(map, std::make_unique<CollectSink>(false));
 
+  // The source heads the chain: the whole pipeline is one task.
   ChainLayout layout = ComputeChainLayout(graph);
   ASSERT_EQ(layout.num_chains(), 1);
-  EXPECT_EQ(layout.chains[0], (std::vector<NodeId>{filter, map, sink}));
-  EXPECT_EQ(layout.edge_verdict[src][0], ChainBreak::kSourceProducer);
+  EXPECT_EQ(layout.chains[0], (std::vector<NodeId>{src, filter, map, sink}));
+  EXPECT_EQ(layout.edge_verdict[src][0], ChainBreak::kChained);
   EXPECT_EQ(layout.edge_verdict[filter][0], ChainBreak::kChained);
   EXPECT_EQ(layout.edge_verdict[map][0], ChainBreak::kChained);
-  EXPECT_EQ(layout.fused_edge_count(), 2);
-  EXPECT_TRUE(layout.is_head(filter));
+  EXPECT_EQ(layout.fused_edge_count(), 3);
+  EXPECT_TRUE(layout.is_head(src));
+  EXPECT_FALSE(layout.is_head(filter));
   EXPECT_FALSE(layout.is_head(map));
-  EXPECT_EQ(layout.chain_of[src], -1);
+  EXPECT_EQ(layout.chain_of[src], 0);
   EXPECT_EQ(layout.chain_of[map], 0);
-  EXPECT_EQ(layout.pos_in_chain[sink], 2);
+  EXPECT_EQ(layout.pos_in_chain[sink], 3);
+  EXPECT_EQ(layout.ToString(graph),
+            "  chain 0: source s -> filter -> map -> sink\n");
 
-  // Every operator opted out: each is its own chain, and the first
-  // forward op edge reports the producer's opt-out.
+  // Every operator opted out: the source and each operator are chains of
+  // their own; the source edge reports the consumer's opt-out, the first
+  // operator edge the producer's.
   UnchainAll(&graph);
   ChainLayout off = ComputeChainLayout(graph);
-  EXPECT_EQ(off.num_chains(), 3);
+  EXPECT_EQ(off.num_chains(), 4);
   EXPECT_EQ(off.fused_edge_count(), 0);
+  EXPECT_EQ(off.chains[static_cast<size_t>(off.chain_of[src])],
+            std::vector<NodeId>{src});
+  EXPECT_EQ(off.edge_verdict[src][0], ChainBreak::kConsumerOptedOut);
   EXPECT_EQ(off.edge_verdict[filter][0], ChainBreak::kProducerOptedOut);
 }
 
@@ -801,7 +805,7 @@ TEST(ChainPlannerTest, BreaksOnFanOutFanInHashAndKnob) {
   EXPECT_EQ(layout.edge_verdict[left][0], ChainBreak::kFanIn);
   EXPECT_EQ(layout.edge_verdict[right][0], ChainBreak::kNotForward);
   EXPECT_EQ(layout.edge_verdict[u][0], ChainBreak::kChained);
-  // Chains: {split}, {left}, {right}, {union2, sink}.
+  // Chains: {s, split}, {left}, {right}, {union2, sink}.
   EXPECT_EQ(layout.num_chains(), 4);
   EXPECT_EQ(layout.chain_of[u], layout.chain_of[sink]);
 
@@ -813,7 +817,8 @@ TEST(ChainPlannerTest, BreaksOnFanOutFanInHashAndKnob) {
   ASSERT_TRUE(graph.SetChaining(u, false).ok());
   opted = ComputeChainLayout(graph);
   EXPECT_EQ(opted.edge_verdict[u][0], ChainBreak::kProducerOptedOut);
-  EXPECT_FALSE(graph.SetChaining(src, false).ok()) << "sources never chain";
+  EXPECT_FALSE(graph.SetChaining(src, false).ok())
+      << "a source always heads its chain";
 }
 
 TEST(ThreadedExecutorTest, ChainSplitAroundNonCloneableOperator) {
@@ -837,14 +842,21 @@ TEST(ThreadedExecutorTest, ChainSplitAroundNonCloneableOperator) {
     ASSERT_TRUE(graph->SetParallelism(filter, 2).ok());
     ASSERT_TRUE(graph->SetParallelism(map, 2).ok());
 
+    // Chains: {src} (its only edge is a hash edge), {filter, map} at x2,
+    // {nonclone, sink}.
     *layout = ComputeChainLayout(*graph);
+    EXPECT_EQ(layout->edge_verdict[src][0], ChainBreak::kNotForward);
     EXPECT_EQ(layout->edge_verdict[filter][0], ChainBreak::kChained);
     EXPECT_EQ(layout->edge_verdict[map][0], ChainBreak::kParallelismMismatch);
     EXPECT_EQ(layout->edge_verdict[pass][0], ChainBreak::kChained);
-    EXPECT_EQ(layout->num_chains(), 2);
-    EXPECT_EQ(graph->parallelism(layout->chains[0].front()), 2);
-    (void)src;
-    (void)sink;
+    EXPECT_EQ(layout->num_chains(), 3);
+    EXPECT_EQ(layout->chains[static_cast<size_t>(layout->chain_of[src])],
+              std::vector<NodeId>{src});
+    EXPECT_EQ(layout->chains[static_cast<size_t>(layout->chain_of[filter])],
+              (std::vector<NodeId>{filter, map}));
+    EXPECT_EQ(layout->chains[static_cast<size_t>(layout->chain_of[pass])],
+              (std::vector<NodeId>{pass, sink}));
+    EXPECT_EQ(graph->parallelism(filter), 2);
   };
 
   std::vector<std::string> ref;
@@ -859,9 +871,13 @@ TEST(ThreadedExecutorTest, ChainSplitAroundNonCloneableOperator) {
     ASSERT_TRUE(result.ok) << result.error;
     EXPECT_EQ(result.matches_emitted, 400);
     if (!chaining) {
+      // One task per operator subtask plus the source's.
+      EXPECT_EQ(result.scheduler.num_tasks, 1 + 2 + 2 + 1 + 1);
       ref = test::MatchMultiset(sink->tuples());
       continue;
     }
+    // source, filter->map x2, nonclone->sink.
+    EXPECT_EQ(result.scheduler.num_tasks, 1 + 2 + 1);
     EXPECT_EQ(test::MatchMultiset(sink->tuples()), ref);
     // The parallel chain reports its skew from the fused hand-off counts.
     bool saw_map_skew = false;
